@@ -60,8 +60,25 @@ BENCHMARK_PARAMS = {
 }
 
 
+def _env_name(name):
+    return f"SPARSENERVE_{name.upper().replace('-', '_')}"
+
+
 def _env_default(name, fallback=None):
-    return os.environ.get(f"SPARSENERVE_{name.upper().replace('-', '_')}", fallback)
+    return os.environ.get(_env_name(name), fallback)
+
+
+def _env_int(name, fallback: int) -> int:
+    """Integer default from the environment; a malformed value is invalid input."""
+    raw = _env_default(name)
+    if raw is None:
+        return fallback
+    try:
+        return int(raw)
+    except ValueError:
+        raise InputValidationError(
+            f"{_env_name(name)} must be an integer, got {raw!r}"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=_env_default("interleaving", "id"),
         help="id | add:<a> | mult:<c> | poly:<c0>,<c1>,...",
     )
-    ph.add_argument("--dim", type=int, default=int(_env_default("dim", "1")))
+    ph.add_argument("--dim", type=int, default=None, help="default 1")
     ph.add_argument(
         "--initial-point", type=int, default=None, help="truncation start index"
     )
@@ -103,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument(
         "--max-simplices",
         type=int,
-        default=int(_env_default("max-simplices", str(DEFAULT_MAX_SIMPLICES))),
+        default=None,
+        help=f"default {DEFAULT_MAX_SIMPLICES}",
     )
     ph.add_argument("--seed", type=int, default=None)
 
@@ -144,6 +162,10 @@ def _load_dissimilarity(args):
 
 
 def cmd_ph(args) -> int:
+    if args.dim is None:
+        args.dim = _env_int("dim", 1)
+    if args.max_simplices is None:
+        args.max_simplices = _env_int("max-simplices", DEFAULT_MAX_SIMPLICES)
     timings = {}
     start = time.perf_counter()
     alpha = TranslationFunction.parse(args.interleaving)

@@ -145,20 +145,30 @@ class TranslationFunction:
         if kind == "identity":
             pass
         elif kind == "additive":
-            if params < 0:
-                raise InputValidationError("additive shift must be >= 0")
+            if not (np.isfinite(params) and params >= 0):
+                raise InputValidationError(
+                    f"additive shift must be finite and >= 0, got {params}"
+                )
         elif kind == "multiplicative":
-            if params < 1:
-                raise InputValidationError("multiplicative constant must be >= 1")
+            if not (np.isfinite(params) and params >= 1):
+                raise InputValidationError(
+                    f"multiplicative constant must be finite and >= 1, got {params}"
+                )
         elif kind == "polynomial":
             self.params = tuple(float(c) for c in params)
             if not self.params:
                 raise InputValidationError("polynomial needs at least one coefficient")
+            if not np.isfinite(self.params).all():
+                raise InputValidationError(
+                    f"polynomial coefficients must be finite, got {self.params}"
+                )
             self.validate_on(float(VALIDATION_SAMPLES))
         elif kind == "tabulated":
             ts, vs = (np.asarray(x, dtype=float) for x in params)
             if ts.ndim != 1 or ts.shape != vs.shape or ts.size < 2:
                 raise InputValidationError("tabulated grid needs matching 1-d arrays")
+            if not (np.isfinite(ts).all() and np.isfinite(vs).all()):
+                raise InputValidationError("tabulated grid and values must be finite")
             if (np.diff(ts) <= 0).any():
                 raise InputValidationError("tabulated grid must be strictly increasing")
             self.params = (ts, vs)
@@ -192,15 +202,21 @@ class TranslationFunction:
         if spec == "id":
             return cls.identity()
         head, sep, rest = spec.partition(":")
-        if not sep:
+        if not sep or head not in ("add", "mult", "poly"):
             raise InputValidationError(f"cannot parse interleaving spec {spec!r}")
-        if head == "add":
-            return cls.additive(float(rest))
-        if head == "mult":
-            return cls.multiplicative(float(rest))
+        try:
+            numbers = [float(c) for c in rest.split(",")]
+        except ValueError:
+            raise InputValidationError(
+                f"cannot parse numbers in interleaving spec {spec!r}"
+            ) from None
         if head == "poly":
-            return cls.polynomial([float(c) for c in rest.split(",")])
-        raise InputValidationError(f"cannot parse interleaving spec {spec!r}")
+            return cls.polynomial(numbers)
+        if len(numbers) != 1:
+            raise InputValidationError(f"{head} takes one number, got {spec!r}")
+        if head == "add":
+            return cls.additive(numbers[0])
+        return cls.multiplicative(numbers[0])
 
     def __call__(self, t):
         scalar = np.isscalar(t) or (isinstance(t, np.ndarray) and t.ndim == 0)

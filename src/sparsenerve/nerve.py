@@ -55,29 +55,54 @@ class FilteredComplex:
         return dict(zip(self.simplices, self.values.tolist()))
 
     def check(self):
-        """Raise if sortedness, downward closure or monotonicity fail."""
-        keys = [
-            (v, len(s), s) for s, v in zip(self.simplices, self.values.tolist())
-        ]
-        for a, b in zip(keys, keys[1:]):
-            if b < a:
-                raise InputValidationError(f"not sorted at {a[2]} -> {b[2]}")
-        lookup = self.value_of()
-        if len(lookup) != len(self.simplices):
-            raise InputValidationError("duplicate simplices")
-        for s, v in lookup.items():
-            if len(s) == 1:
-                continue
-            for face in combinations(s, len(s) - 1):
-                if face not in lookup:
-                    raise InputValidationError(f"missing face {face} of {s}")
-                if lookup[face] > v:
-                    raise InputValidationError(
-                        f"filtration not monotone: {face} > {s}"
-                    )
+        """Raise if sortedness, uniqueness, downward closure or monotonicity fail."""
+        self.facet_indices()
 
-    def thresholded(self, t: float) -> set:
-        return {s for s, v in zip(self.simplices, self.values.tolist()) if v <= t}
+    def facet_indices(self) -> list:
+        """Indices of each simplex's facets, checking the complex in the same pass.
+
+        Entry ``j`` of the tuple for simplex ``s`` is the index of the facet
+        without ``s[j]``; vertices get the empty tuple.  Raises
+        ``InputValidationError`` if the simplices are not sorted by (value,
+        cardinality, vertices), repeat, miss a facet, or enter before one of
+        their facets.
+        """
+        index = {}
+        facets = []
+        values = self.values.tolist()
+        prev = None
+        for i, (s, v) in enumerate(zip(self.simplices, values)):
+            key = (v, len(s), s)
+            if prev is not None and key < prev:
+                raise InputValidationError(f"not sorted at {prev[2]} -> {s}")
+            prev = key
+            if s in index:
+                raise InputValidationError(f"duplicate simplex {s}")
+            index[s] = i
+            if len(s) == 1:
+                facets.append(())
+                continue
+            try:
+                faces = tuple(index[s[:j] + s[j + 1 :]] for j in range(len(s)))
+            except KeyError:
+                # In a sorted prefix every listed facet has a value <= v, so
+                # a facet not listed yet is missing, later and larger, or
+                # later because the order breaks after this simplex.
+                lookup = self.value_of()
+                for face in combinations(s, len(s) - 1):
+                    if face not in lookup:
+                        raise InputValidationError(
+                            f"missing face {face} of {s}"
+                        ) from None
+                    if lookup[face] > v:
+                        raise InputValidationError(
+                            f"filtration not monotone: {face} > {s}"
+                        ) from None
+                raise InputValidationError(
+                    f"not sorted: a face of {s} comes after it"
+                ) from None
+            facets.append(faces)
+        return facets
 
 
 def make_filtered_complex(value_by_simplex: dict, dim_cap: int) -> FilteredComplex:

@@ -33,27 +33,82 @@ class PersistenceDiagram:
 
 
 def _boundary_columns(K: FilteredComplex):
-    index = {s: i for i, s in enumerate(K.simplices)}
-    cols = []
-    for s in K.simplices:
-        if len(s) == 1:
-            cols.append(frozenset())
-        else:
-            try:
-                cols.append(
-                    frozenset(
-                        index[s[:j] + s[j + 1 :]] for j in range(len(s))
-                    )
-                )
-            except KeyError as exc:
-                raise InputValidationError(
-                    f"complex is not closed: missing face of {s}"
-                ) from exc
-    return cols
+    """Facet indices and dimension of every simplex of a checked complex.
+
+    Returns (cols, dims); ``cols[i]`` holds the indices of the facets of
+    simplex ``i``.  Raises ``InputValidationError`` where
+    ``FilteredComplex.check`` would.
+    """
+    return K.facet_indices(), [len(s) - 1 for s in K.simplices]
+
+
+def _reduce_cohomology(cols, dims, max_dim):
+    """Persistence pairs with births in dimensions 0..max_dim, via cohomology.
+
+    Dimension 0 is union-find over the edges in filtration order: an edge
+    joining two components kills the younger one's oldest vertex (the elder
+    rule).  Each dimension k >= 1 reduces the coboundaries of the
+    k-simplices, latest simplex first, with the earliest coface as pivot
+    (de Silva, Morozov and Vejdemo-Johansson, "Dualities in persistent
+    (co)homology", 2011).  Simplices that died in dimension k - 1 reduce to
+    zero and are skipped (clearing, as in Bauer's Ripser).  Pairs equal
+    those of the boundary-matrix reductions below.
+    """
+    by_dim = [[] for _ in range(max_dim + 2)]
+    for i, k in enumerate(dims):
+        if k <= max_dim + 1:
+            by_dim[k].append(i)
+
+    parent = list(range(len(cols)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    pairs = []
+    deaths = set()
+    for e in by_dim[1]:
+        u, v = sorted(find(x) for x in cols[e])
+        if u != v:
+            parent[v] = u
+            pairs.append((v, e))
+            deaths.add(e)
+    essential = [v for v in by_dim[0] if parent[v] == v]
+
+    for k in range(1, max_dim + 1):
+        cofaces = {i: [] for i in by_dim[k]}
+        for t in by_dim[k + 1]:
+            for f in cols[t]:
+                cofaces[f].append(t)
+        pivots = {}  # pivot coface -> reduced coboundary owning it
+        for i in reversed(by_dim[k]):
+            if i in deaths:
+                continue
+            col = cofaces[i]
+            if col and col[0] not in pivots:
+                pivots[col[0]] = col
+                pairs.append((i, col[0]))
+                continue
+            work = set(col)
+            while work:
+                low = min(work)
+                other = pivots.get(low)
+                if other is None:
+                    break
+                work.symmetric_difference_update(other)
+            if work:
+                pivots[low] = work
+                pairs.append((i, low))
+            else:
+                essential.append(i)
+        deaths = pivots
+    return sorted(pairs), sorted(essential)
 
 
 def _reduce_twist(cols, dims):
-    """Column reduction in decreasing dimension with clearing.
+    """Column reduction in decreasing dimension with clearing; a test oracle.
 
     Returns (pairs, essential) where pairs are (birth_index, death_index)
     and essential are unpaired creator indices.
@@ -87,7 +142,7 @@ def _reduce_twist(cols, dims):
 
 
 def _reduce_plain(cols, dims):
-    """Textbook left-to-right reduction; used to cross-check the twist variant."""
+    """Textbook left-to-right reduction; a test oracle for the other reducers."""
     n = len(cols)
     pivot = {}
     reduced = {}
@@ -111,35 +166,30 @@ def _reduce_plain(cols, dims):
     return pairs, essential
 
 
-def compute_persistence(
-    K: FilteredComplex, max_dim: int, algorithm: str = "twist"
-) -> PersistenceDiagram:
+def compute_persistence(K: FilteredComplex, max_dim: int) -> PersistenceDiagram:
     """Persistence diagram of a filtered complex over Z/2, dimensions 0..max_dim.
 
-    The complex must be sorted, downward closed and monotone (checked).
-    Deaths in dimension k need (k+1)-simplices, so ``max_dim`` should be at
-    most ``K.dim_cap - 1`` for the top dimension to be complete.
+    The complex must be sorted, free of duplicates, downward closed and
+    monotone (checked).  Dimension 0 comes from union-find, dimensions
+    1..max_dim from persistent cohomology with clearing; the pairs are those
+    of the standard boundary-matrix reduction.  Deaths in dimension k need
+    (k+1)-simplices, so ``max_dim`` should be at most ``K.dim_cap - 1`` for
+    the top dimension to be complete.
     """
-    K.check()
-    dims = [len(s) - 1 for s in K.simplices]
-    cols = _boundary_columns(K)
-    reduce = {"twist": _reduce_twist, "plain": _reduce_plain}[algorithm]
-    pairs, essential = reduce(cols, dims)
-    values = K.values
+    if max_dim < 0:
+        raise InputValidationError(f"max_dim must be >= 0, got {max_dim}")
+    cols, dims = _boundary_columns(K)
+    pairs, essential = _reduce_cohomology(cols, dims, max_dim)
+    values = K.values.tolist()
     points = []
     zero_length = 0
     for birth, death in pairs:
-        dim = dims[birth]
-        if dim > max_dim:
-            continue
-        b, d = float(values[birth]), float(values[death])
+        b, d = values[birth], values[death]
         if b == d:
             zero_length += 1
         else:
-            points.append((dim, b, d))
-    for i in essential:
-        if dims[i] <= max_dim:
-            points.append((dims[i], float(values[i]), INF))
+            points.append((dims[birth], b, d))
+    points.extend((dims[i], values[i], INF) for i in essential)
     return PersistenceDiagram(points=tuple(points), n_zero_length=zero_length)
 
 

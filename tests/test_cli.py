@@ -138,6 +138,24 @@ class TestPh:
     def test_seed_picks_valid_initial_point(self, square_file):
         assert main(["ph", "--input", str(square_file), "--seed", "11"]) == 0
 
+    @pytest.mark.parametrize("spec", ["mult:abc", "add:inf", "mult:nan", "poly:0.3,inf"])
+    def test_bad_interleaving_exit_1(self, square_file, capsys, spec):
+        rc = main(["ph", "--input", str(square_file), "--interleaving", spec])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "fix infinity" not in err
+
+    @pytest.mark.parametrize("var", ["SPARSENERVE_DIM", "SPARSENERVE_MAX_SIMPLICES"])
+    def test_malformed_env_int_exit_1(self, square_file, capsys, monkeypatch, var):
+        monkeypatch.setenv(var, "x")
+        assert main(["ph", "--input", str(square_file)]) == 1
+        assert var in capsys.readouterr().err
+
+    def test_env_int_defaults(self, tmp_path, square_file, monkeypatch):
+        monkeypatch.setenv("SPARSENERVE_MAX_SIMPLICES", "5")
+        assert main(["ph", "--input", str(square_file)]) == 2
+        assert main(["ph", "--input", str(square_file), "--max-simplices", "1000"]) == 0
+
 
 class TestBenchmark:
     def test_smoke_with_budget(self, capsys):

@@ -107,6 +107,26 @@ class TestTranslationFunction:
         with pytest.raises(InputValidationError):
             TranslationFunction.parse("cubic")
 
+    def test_parse_rejects_bad_numbers(self):
+        for spec in ("mult:abc", "add:", "poly:1,,2", "mult:2,3"):
+            with pytest.raises(InputValidationError):
+                TranslationFunction.parse(spec)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: TranslationFunction.additive(INF),
+            lambda: TranslationFunction.additive(np.nan),
+            lambda: TranslationFunction.multiplicative(INF),
+            lambda: TranslationFunction.multiplicative(np.nan),
+            lambda: TranslationFunction.polynomial([0.0, 1.0, np.nan]),
+            lambda: TranslationFunction.tabulated([0.0, INF], [0.0, INF]),
+        ],
+    )
+    def test_rejects_non_finite_parameters(self, make):
+        with pytest.raises(InputValidationError, match="finite"):
+            make()
+
     def test_array_evaluation(self):
         a = TranslationFunction.multiplicative(2.0)
         out = a(np.array([1.0, INF]))

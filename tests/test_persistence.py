@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsenerve.ingest import generate_graph, shortest_path_matrix
 from sparsenerve.model import (
@@ -8,9 +10,13 @@ from sparsenerve.model import (
     InputValidationError,
     TranslationFunction,
 )
-from sparsenerve.nerve import full_dowker_nerve, make_filtered_complex
+from sparsenerve.nerve import FilteredComplex, full_dowker_nerve, make_filtered_complex
 from sparsenerve.persistence import (
     PersistenceDiagram,
+    _boundary_columns,
+    _reduce_cohomology,
+    _reduce_plain,
+    _reduce_twist,
     compute_persistence,
     diagram_interleaving_check,
     interleaving_line,
@@ -206,10 +212,10 @@ class TestComputePersistence:
     def test_twist_equals_plain(self, rng):
         for _ in range(30):
             lam = random_dissimilarity(rng, max_side=5)
-            K = full_dowker_nerve(lam, 2)
-            a = compute_persistence(K, 2, algorithm="twist")
-            b = compute_persistence(K, 2, algorithm="plain")
-            assert a.points == b.points
+            cols, dims = _boundary_columns(full_dowker_nerve(lam, 2))
+            twist = _reduce_twist(cols, dims)
+            assert _reduce_plain(cols, dims) == twist
+            assert _reduce_cohomology(cols, dims, max(dims, default=0)) == twist
 
     def test_matches_rank_oracle_small(self, rng):
         checked = 0
@@ -232,6 +238,24 @@ class TestComputePersistence:
         K = make_filtered_complex({(0,): 0.0, (0, 1): 1.0}, dim_cap=1)
         with pytest.raises(InputValidationError):
             compute_persistence(K, 1)
+
+    @pytest.mark.parametrize(
+        "simplices, values, message",
+        [
+            (((0,), (1,), (0, 1)), [1.0, 0.0, 1.0], "not sorted"),
+            (((0,), (0,)), [0.0, 0.0], "duplicate"),
+            (((0,), (0, 1), (1,)), [0.0, 1.0, 2.0], "not monotone"),
+        ],
+    )
+    def test_malformed_complex_rejected(self, simplices, values, message):
+        K = FilteredComplex(simplices=simplices, values=values, dim_cap=1)
+        with pytest.raises(InputValidationError, match=message):
+            compute_persistence(K, 1)
+
+    def test_negative_max_dim_rejected(self):
+        K = make_filtered_complex({(0,): 0.0}, dim_cap=0)
+        with pytest.raises(InputValidationError):
+            compute_persistence(K, -1)
 
     def test_component_count_matches_infinite_points(self, rng):
         for _ in range(10):
@@ -256,6 +280,47 @@ class TestComputePersistence:
                 1 for k, b, d in dg.points if k == 0 and np.isinf(d)
             )
             assert essential == components
+
+
+@st.composite
+def split_dowker_matrices(draw):
+    """Integer-valued rectangular matrices, block diagonal with inf between blocks.
+
+    Landmarks in different blocks share no witness, so the nerve has at
+    least one component per block with a finite entry.  Returns the matrix
+    and that block count.
+    """
+    entries = st.sampled_from([0.0, 1.0, 2.0, 3.0, INF])
+    shapes = draw(
+        st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3)
+    )
+    lam = np.full((sum(r for r, _ in shapes), sum(c for _, c in shapes)), INF)
+    row = col = blocks = 0
+    for r, c in shapes:
+        block = np.reshape(draw(st.lists(entries, min_size=r * c, max_size=r * c)), (r, c))
+        lam[row : row + r, col : col + c] = block
+        blocks += bool(np.isfinite(block).any())
+        row, col = row + r, col + c
+    return lam, blocks
+
+
+class TestReduceCohomology:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        matrix=split_dowker_matrices(),
+        d=st.integers(0, 2),
+        max_dim=st.sampled_from(["0", "cap-1", "cap", "cap+1"]),
+    )
+    def test_matches_plain_reduction(self, matrix, d, max_dim):
+        lam, blocks = matrix
+        K = full_dowker_nerve(lam, d)
+        top = {"0": 0, "cap-1": K.dim_cap - 1, "cap": K.dim_cap, "cap+1": K.dim_cap + 1}[max_dim]
+        cols, dims = _boundary_columns(K)
+        pairs, essential = _reduce_cohomology(cols, dims, top)
+        plain_pairs, plain_essential = _reduce_plain(cols, dims)
+        assert pairs == [p for p in plain_pairs if dims[p[0]] <= top]
+        assert essential == [i for i in plain_essential if dims[i] <= top]
+        assert sum(1 for i in essential if dims[i] == 0) >= blocks
 
 
 class TestInterleavingLine:
