@@ -21,7 +21,6 @@ from .model import (
     RestrictionTimes,
     SizeLimitError,
     TranslationFunction,
-    evaluate_translation,
     validate_dissimilarity,
 )
 from .nerve import (
@@ -33,7 +32,6 @@ from .nerve import (
     skeleton_size,
     slope_points,
     sparse_dowker_nerve,
-    sparse_nerve,
 )
 from .persistence import (
     InterleavingLine,
@@ -42,7 +40,7 @@ from .persistence import (
     diagram_interleaving_check,
     interleaving_line,
 )
-from .sparsify import parent_function, restriction_times
+from .sparsify import restriction_times
 from .truncation import (
     farthest_point_sampling,
     truncate,
@@ -67,7 +65,6 @@ __all__ = [
     "cover_matrix",
     "diagram_interleaving_check",
     "distance_matrix",
-    "evaluate_translation",
     "farthest_point_sampling",
     "full_ambient_cech",
     "full_dowker_nerve",
@@ -75,7 +72,6 @@ __all__ = [
     "interleaving_line",
     "maximal_faces",
     "miniball",
-    "parent_function",
     "raw_weight_matrix",
     "read_distance_matrix",
     "read_edge_list",
@@ -86,7 +82,6 @@ __all__ = [
     "skeleton_size",
     "slope_points",
     "sparse_dowker_nerve",
-    "sparse_nerve",
     "truncate",
     "truncation_result",
     "truncation_tree",

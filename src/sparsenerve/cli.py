@@ -4,7 +4,8 @@ Two subcommands: ``ph`` runs the pipeline on one input and writes diagram,
 stats and plot-data files; ``benchmark`` reproduces the graph-family size
 table against the published reference sizes.
 
-Exit codes: 0 success, 1 invalid input, 2 simplex budget exceeded.
+Exit codes: 0 success, 1 invalid input (usage errors included), 2 simplex
+budget exceeded.
 Every flag can also be set through an environment variable prefixed
 ``SPARSENERVE_`` (e.g. ``SPARSENERVE_DIM=2``); explicit flags win.
 """
@@ -35,6 +36,9 @@ from .nerve import ambient_cech_nerve, skeleton_size, sparse_dowker_nerve
 from .persistence import compute_persistence, interleaving_line
 
 DEFAULT_MAX_SIMPLICES = 10_000_000
+FORMATS = ("points", "matrix", "graph")
+MODES = ("intrinsic", "ambient", "network")
+NETWORK_MODES = ("shortest-path", "raw-weight")
 
 # Published sparse-nerve sizes for the 100-node graph families, used by the
 # benchmark subcommand for side-by-side reporting.
@@ -81,8 +85,26 @@ def _env_int(name, fallback: int) -> int:
         ) from None
 
 
+def _env_choice(name, choices, fallback: str) -> str:
+    """Choice default from the environment; a value outside ``choices`` is invalid input."""
+    raw = _env_default(name, fallback)
+    if raw not in choices:
+        raise InputValidationError(
+            f"{_env_name(name)} must be one of {', '.join(choices)}, got {raw!r}"
+        )
+    return raw
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as invalid input (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sparsenerve",
         description="Approximate persistent homology via sparse Dowker nerves.",
     )
@@ -90,20 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     ph = sub.add_parser("ph", help="run the pipeline on one input")
     ph.add_argument("--input", default=_env_default("input"), help="input file path")
+    ph.add_argument("--format", choices=FORMATS, default=None, help="default points")
+    ph.add_argument("--mode", choices=MODES, default=None, help="default intrinsic")
     ph.add_argument(
-        "--format",
-        choices=("points", "matrix", "graph"),
-        default=_env_default("format", "points"),
-    )
-    ph.add_argument(
-        "--mode",
-        choices=("intrinsic", "ambient", "network"),
-        default=_env_default("mode", "intrinsic"),
-    )
-    ph.add_argument(
-        "--network-mode",
-        choices=("shortest-path", "raw-weight"),
-        default=_env_default("network-mode", "shortest-path"),
+        "--network-mode", choices=NETWORK_MODES, default=None,
+        help="default shortest-path",
     )
     ph.add_argument(
         "--interleaving",
@@ -162,6 +175,11 @@ def _load_dissimilarity(args):
 
 
 def cmd_ph(args) -> int:
+    args.format = args.format or _env_choice("format", FORMATS, "points")
+    args.mode = args.mode or _env_choice("mode", MODES, "intrinsic")
+    args.network_mode = args.network_mode or _env_choice(
+        "network-mode", NETWORK_MODES, "shortest-path"
+    )
     if args.dim is None:
         args.dim = _env_int("dim", 1)
     if args.max_simplices is None:
@@ -271,9 +289,8 @@ def cmd_benchmark(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "ph":
             return cmd_ph(args)
         return cmd_benchmark(args)

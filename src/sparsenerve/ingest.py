@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import shortest_path
@@ -189,32 +188,45 @@ GRAPH_KINDS = (
 
 
 def generate_graph(kind: str, **params) -> WeightedGraph:
-    """Standard graph families, unit edge weights.
+    """Standard graph families, unit edge weights, edges sorted as (min, max).
 
     Parameters: ``nodes`` for cycle/star/wheel; ``rungs`` for ladder and
     circular_ladder (2*rungs nodes); ``rows``/``cols`` for grid;
-    ``groups``/``group_size`` for complete_multipartite.
+    ``groups``/``group_size`` for complete_multipartite.  Labels: star and
+    wheel hub 0; ladder rails 0..rungs-1 and rungs..2*rungs-1; grid
+    row-major; multipartite groups in consecutive blocks.
     """
-    if kind == "cycle":
-        G = nx.cycle_graph(_positive(params, "nodes"))
-    elif kind == "star":
-        G = nx.star_graph(_positive(params, "nodes") - 1)
-    elif kind == "wheel":
-        G = nx.wheel_graph(_positive(params, "nodes"))
-    elif kind == "ladder":
-        G = nx.ladder_graph(_positive(params, "rungs"))
-    elif kind == "circular_ladder":
-        G = nx.circular_ladder_graph(_positive(params, "rungs"))
+    if kind in ("cycle", "star", "wheel"):
+        n = _positive(params, "nodes")
+        if kind == "cycle":
+            edges = [(i, (i + 1) % n) for i in range(n)]
+        else:
+            edges = [(0, i) for i in range(1, n)]
+            if kind == "wheel" and n > 2:
+                edges += [(i, i % (n - 1) + 1) for i in range(1, n)]
+    elif kind in ("ladder", "circular_ladder"):
+        r = _positive(params, "rungs")
+        n = 2 * r
+        edges = [(i, i + r) for i in range(r)]
+        edges += [(i + s, i + s + 1) for s in (0, r) for i in range(r - 1)]
+        if kind == "circular_ladder":
+            edges += [(0, r - 1), (r, n - 1)]
     elif kind == "grid":
-        G = nx.grid_2d_graph(_positive(params, "rows"), _positive(params, "cols"))
-        G = nx.convert_node_labels_to_integers(G, ordering="sorted")
+        rows, cols = _positive(params, "rows"), _positive(params, "cols")
+        n = rows * cols
+        edges = [(v, v + 1) for v in range(n) if (v + 1) % cols]
+        edges += [(v, v + cols) for v in range(n - cols)]
     elif kind == "complete_multipartite":
-        sizes = [_positive(params, "group_size")] * _positive(params, "groups")
-        G = nx.complete_multipartite_graph(*sizes)
+        size = _positive(params, "group_size")
+        n = size * _positive(params, "groups")
+        edges = [
+            (u, v) for u in range(n) for v in range(u + 1, n) if u // size != v // size
+        ]
     else:
         raise InputValidationError(f"unknown graph kind {kind!r}")
-    edges = tuple((min(u, v), max(u, v), 1.0) for u, v in sorted(G.edges()))
-    return WeightedGraph(node_count=G.number_of_nodes(), edges=edges)
+    # A set drops the doubled edges of tiny instances (a 2-cycle, a 2-node rim).
+    pairs = sorted({(min(u, v), max(u, v)) for u, v in edges})
+    return WeightedGraph(node_count=n, edges=tuple((u, v, 1.0) for u, v in pairs))
 
 
 def _positive(params, key) -> int:

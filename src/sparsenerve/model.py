@@ -96,8 +96,6 @@ class DowkerDissimilarity:
 
     values: np.ndarray
     metric: bool = False
-    row_labels: tuple | None = None
-    col_labels: tuple | None = None
 
     def __post_init__(self):
         a = as_extended_matrix(self.values)
@@ -109,10 +107,6 @@ class DowkerDissimilarity:
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "values", a)
-        if self.row_labels is not None and len(self.row_labels) != a.shape[0]:
-            raise InputValidationError("row label count does not match matrix")
-        if self.col_labels is not None and len(self.col_labels) != a.shape[1]:
-            raise InputValidationError("column label count does not match matrix")
 
     @property
     def n_landmarks(self) -> int:
@@ -280,11 +274,6 @@ class TranslationFunction:
 
     def __repr__(self):
         return f"TranslationFunction({self.kind!r}, {self.params!r})"
-
-
-def evaluate_translation(alpha: TranslationFunction, t):
-    """Apply a validated translation function to a value or array."""
-    return alpha(t)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 The sparse nerve of a truncated dissimilarity Gamma with restriction times R
 is built from maximal faces emitted per (landmark, witness) pair and expanded
-into a (d+1)-skeleton.  Filtration values always come from the original
-Lambda via v(sigma) = min over w of max over l in sigma of Lambda(l, w).
+into a (d+1)-skeleton.  The intrinsic and the ambient mode share that
+pipeline and differ only in the filtration values: min-max values from the
+original Lambda, v(sigma) = min over w of max over l in sigma of
+Lambda(l, w), or smallest-enclosing-ball radii of the points.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .cover import cover_matrix
+from .cover import cover_matrix  # noqa: F401  (perfbench's smoke tests look it up here)
+from .ingest import distance_matrix
 from .miniball import miniball
 from .model import (
-    INF,
     DowkerDissimilarity,
     InputValidationError,
     ParentFunction,
@@ -213,24 +215,6 @@ def expand_skeleton(faces, d: int, max_simplices=None) -> set:
     return simplices
 
 
-def sparse_nerve(
-    lam,
-    gamma,
-    R: RestrictionTimes,
-    phi: ParentFunction,
-    d: int,
-    max_simplices=None,
-) -> FilteredComplex:
-    """(d+1)-skeleton of the sparse nerve with min-max values from Lambda."""
-    if d < 0:
-        raise InputValidationError("homology dimension must be >= 0")
-    S = slope_points(phi, R)
-    faces = maximal_faces(gamma, R, S)
-    simplices = sorted(expand_skeleton(faces, d, max_simplices))
-    values = filtration_values(lam, simplices)
-    return make_filtered_complex(dict(zip(simplices, values)), dim_cap=d + 1)
-
-
 def full_dowker_nerve(lam, d: int, max_simplices=None) -> FilteredComplex:
     """Exact Dowker nerve skeleton: every finite-valued subset of L, card <= d+2.
 
@@ -261,6 +245,37 @@ class SparseNerveResult:
     restriction: RestrictionTimes
 
 
+def _sparse_skeleton(
+    dd: DowkerDissimilarity,
+    alpha: TranslationFunction,
+    d: int,
+    initial_point: int,
+    max_simplices,
+    scale: float = 1.0,
+):
+    """The pipeline both entry points share, up to filtration values.
+
+    Truncates Lambda to Gamma (validating alpha and building the one cover
+    matrix of the run), reads the restriction times R off the truncation
+    tree, scales them by ``scale``, and expands the maximal faces of the
+    sparse nerve of (Gamma, R) into the (d+1)-skeleton.  Returns the
+    truncation, R and the simplices in lexicographic order; callers assign
+    values and sort by them.
+    """
+    if d < 0:
+        raise InputValidationError("homology dimension must be >= 0")
+    if max_simplices is not None and max_simplices < 0:
+        raise InputValidationError(f"simplex budget must be >= 0, got {max_simplices}")
+    tr = truncation_result(dd, alpha, initial_point)
+    # Restriction times are homogeneous in (Lambda, Gamma), and scaling by a
+    # power of two is exact, so this is exactly ``scale`` times R.
+    R = restriction_times(tr.tree, scale * dd.values, scale * tr.gamma.values)
+    faces = maximal_faces(tr.gamma.values, R, slope_points(tr.tree, R))
+    # Lexicographic order costs one cheap sort and makes both the value pass
+    # and the sort by value faster than the set's order would.
+    return tr, R, sorted(expand_skeleton(faces, d, max_simplices))
+
+
 def sparse_dowker_nerve(
     dd: DowkerDissimilarity,
     alpha: TranslationFunction,
@@ -271,28 +286,18 @@ def sparse_dowker_nerve(
     """Full pipeline: truncate, restrict along the truncation tree, extract the nerve.
 
     The cover matrix of (Lambda, alpha(Lambda)) drives the farthest-point
-    truncation; the restriction times are read off a second cover matrix,
-    of (Lambda, Gamma), along the truncation tree itself.  Using the tree
-    that shaped Gamma keeps every point covered by its parent at its
-    restriction time: the parent row was minimized against the child's.
+    truncation; each point's restriction time is read off Lambda and Gamma
+    at its parent in the truncation tree.  Using the tree that shaped Gamma
+    keeps every point covered by its parent at its restriction time: the
+    parent row was minimized against the child's.  Simplices get min-max
+    values from Lambda.
     """
     if not isinstance(dd, DowkerDissimilarity):
         dd = DowkerDissimilarity(dd)
-    alpha.validate_on(2.0 * dd.max_finite)
-    rho = cover_matrix(dd.values, alpha(dd.values))
-    tr = truncation_result(dd, alpha, initial_point, rho=rho)
-    gamma = tr.gamma
-    phi = tr.tree
-    R = restriction_times(phi, cover_matrix(dd.values, gamma.values))
-    complex_ = sparse_nerve(dd.values, gamma.values, R, phi, d, max_simplices)
-    return SparseNerveResult(complex=complex_, gamma=gamma, phi=phi, restriction=R)
-
-
-def _pairwise_distances(points: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - points[None, :, :]
-    dm = np.sqrt(np.sum(diff * diff, axis=-1))
-    np.fill_diagonal(dm, 0.0)
-    return np.maximum(dm, dm.T)
+    tr, R, simplices = _sparse_skeleton(dd, alpha, d, initial_point, max_simplices)
+    values = filtration_values(dd.values, simplices)
+    complex_ = make_filtered_complex(dict(zip(simplices, values)), dim_cap=d + 1)
+    return SparseNerveResult(complex=complex_, gamma=tr.gamma, phi=tr.tree, restriction=R)
 
 
 def ambient_cech_nerve(
@@ -304,25 +309,19 @@ def ambient_cech_nerve(
 ) -> FilteredComplex:
     """Sparse approximation of the ambient Cech complex of a Euclidean cloud.
 
-    Runs the intrinsic pipeline on the pairwise distance matrix, doubles the
-    restriction times, rebuilds the complex, and assigns every simplex the
-    smallest-enclosing-ball radius of its vertices.  The result K satisfies
+    Runs the intrinsic pipeline on the pairwise distance matrix with doubled
+    restriction times and assigns every simplex the smallest-enclosing-ball
+    radius of its vertices.  The result K satisfies
     N_t <= K_t <= (full ambient Cech)_t at every threshold.
     """
     X = np.asarray(points, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise InputValidationError("expected a nonempty 2-d point array")
-    dm = _pairwise_distances(X)
-    dd = DowkerDissimilarity(dm, metric=True)
-    alpha.validate_on(2.0 * dd.max_finite)
-    rho = cover_matrix(dm, alpha(dm))
-    tr = truncation_result(dd, alpha, initial_point, rho=rho)
-    gamma = tr.gamma
-    phi = tr.tree
-    R_intrinsic = restriction_times(phi, cover_matrix(dm, gamma.values))
-    R = RestrictionTimes(times=2.0 * R_intrinsic.times, tree=phi)
-    skeleton = sparse_nerve(dm, gamma.values, R, phi, d, max_simplices)
-    values = {s: miniball(X[list(s)])[1] for s in skeleton.simplices}
+    dd = distance_matrix(X)
+    _, _, simplices = _sparse_skeleton(
+        dd, alpha, d, initial_point, max_simplices, scale=2.0
+    )
+    values = {s: miniball(X[list(s)])[1] for s in simplices}
     return make_filtered_complex(_monotone_snap(values), dim_cap=d + 1)
 
 

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import maximum_flow
 
 from .model import INF, InputValidationError, TranslationFunction
 from .nerve import FilteredComplex
@@ -248,42 +249,50 @@ def _saturating_matching(edges, n_left, n_right, req_left, req_right):
     Returns the matching as a list of (left, right) pairs, or None if no
     feasible matching exists.
     """
-    G = nx.DiGraph()
-    src, snk, ssrc, ssnk = "s", "t", "S*", "T*"
-    excess = {}
+    # Vertices: source 0, sink 1, super source 2, super sink 3, then the
+    # left points and the right points.
+    src, snk, ssrc, ssnk = range(4)
+    n = 4 + n_left + n_right
+    arcs = {}
+    excess = np.zeros(n, dtype=np.int64)
 
     def add(u, v, low, cap):
-        G.add_edge(u, v, capacity=cap - low)
-        if low:
-            excess[v] = excess.get(v, 0) + low
-            excess[u] = excess.get(u, 0) - low
+        if cap > low:
+            arcs[u, v] = cap - low
+        excess[v] += low
+        excess[u] -= low
 
     for i in range(n_left):
-        add(src, ("a", i), 1 if i in req_left else 0, 1)
+        add(src, 4 + i, 1 if i in req_left else 0, 1)
     for j in range(n_right):
-        add(("e", j), snk, 1 if j in req_right else 0, 1)
+        add(4 + n_left + j, snk, 1 if j in req_right else 0, 1)
     for i, j in edges:
-        add(("a", i), ("e", j), 0, 1)
+        add(4 + i, 4 + n_left + j, 0, 1)
     add(snk, src, 0, len(edges) + 1)
-    need = 0
-    for node, ex in excess.items():
-        if ex > 0:
-            G.add_edge(ssrc, node, capacity=ex)
-            need += ex
-        elif ex < 0:
-            G.add_edge(node, ssnk, capacity=-ex)
+    need = int(excess[excess > 0].sum())
     if need == 0:
         return []
-    flow_value, flow = nx.maximum_flow(G, ssrc, ssnk)
-    if flow_value < need:
+    for node in np.nonzero(excess)[0]:
+        if excess[node] > 0:
+            arcs[ssrc, node] = excess[node]
+        else:
+            arcs[node, ssnk] = -excess[node]
+    rows, cols = zip(*arcs)
+    caps = np.fromiter(arcs.values(), dtype=np.int32, count=len(arcs))
+    graph = csr_array((caps, (rows, cols)), shape=(n, n))
+    result = maximum_flow(graph, ssrc, ssnk)
+    if result.flow_value < need:
         return None
-    matched = []
-    for i in range(n_left):
-        # a->e edges have zero lower bound, so their flow is the real flow
-        for v, f in flow.get(("a", i), {}).items():
-            if f > 0 and isinstance(v, tuple) and v[0] == "e":
-                matched.append((i, v[1]))
-    return matched
+    # Left-to-right arcs have zero lower bound, so their flow is the real flow.
+    flow = result.flow.tocoo()
+    hit = (
+        (flow.data > 0)
+        & (flow.row >= 4) & (flow.row < 4 + n_left)
+        & (flow.col >= 4 + n_left)
+    )
+    return sorted(
+        (int(r) - 4, int(c) - 4 - n_left) for r, c in zip(flow.row[hit], flow.col[hit])
+    )
 
 
 def diagram_interleaving_check(

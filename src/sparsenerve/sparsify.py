@@ -1,4 +1,4 @@
-"""Greedy parent function and minimal restriction times from a cover matrix."""
+"""Minimal restriction times along the truncation tree."""
 
 from __future__ import annotations
 
@@ -13,62 +13,24 @@ from .model import (
 )
 
 
-def parent_function(rho) -> ParentFunction:
-    """Greedy parent tree over L from a square cover matrix.
-
-    Each point's draft parent is its nearest neighbor under rho (earliest
-    argmin).  Points are processed by non-increasing nearest-neighbor
-    distance (stable, index tie-break); the first becomes the root.  A draft
-    parent is kept if it was processed earlier, otherwise the point attaches
-    to the earliest processed predecessor with minimal positive rho, or to
-    the root if every predecessor entry is zero.
-    """
-    rho = as_extended_matrix(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise InputValidationError(f"cover matrix must be square, got {rho.shape}")
-    n = rho.shape[0]
-    if n == 0:
-        raise InputValidationError("empty index set")
-    if n == 1:
-        return ParentFunction(np.zeros(1, dtype=int))
-
-    off = rho.copy()
-    np.fill_diagonal(off, INF)
-    m = off.min(axis=1)
-    draft = off.argmin(axis=1)
-
-    order = sorted(range(n), key=lambda l: (-m[l], l))
-    pos = np.empty(n, dtype=int)
-    pos[order] = np.arange(n)
-    root = order[0]
-
-    parent = np.full(n, root, dtype=int)
-    parent[root] = root
-    for l in order[1:]:
-        if pos[draft[l]] < pos[l]:
-            parent[l] = draft[l]
-        else:
-            preds = np.array(order[: pos[l]])
-            positive = preds[rho[l, preds] > 0]
-            if positive.size:
-                parent[l] = int(positive[np.argmin(rho[l, positive])])
-            # else: keep the root fallback
-    return ParentFunction(parent)
-
-
-def restriction_times(phi: ParentFunction, rho) -> RestrictionTimes:
+def restriction_times(phi: ParentFunction, lam, gamma) -> RestrictionTimes:
     """Minimal restriction times over the parent tree.
 
-    Each non-root point's raw deadline is rho(l, parent(l)); the root's is
-    infinite.  Deadlines then propagate upwards so every node carries the
-    maximum raw deadline over its subtree, making parents outlive their
-    children's removal.
+    Each non-root point's raw deadline is the cover-matrix entry
+    rho(l, parent(l)) of (Lambda, Gamma): the largest Lambda(parent(l), w)
+    over witnesses w with Gamma(l, w) < Lambda(parent(l), w), or 0 if there
+    is none.  Only these n entries are computed, never the whole matrix.  The
+    root's deadline is infinite.  Deadlines then propagate upwards so every
+    node carries the maximum raw deadline over its subtree, making parents
+    outlive their children's removal.
     """
-    rho = as_extended_matrix(rho)
-    if rho.shape[0] != len(phi) or rho.shape[0] != rho.shape[1]:
-        raise InputValidationError("cover matrix does not match the parent tree")
+    lam = as_extended_matrix(lam)
+    gamma = as_extended_matrix(gamma)
+    if lam.shape != gamma.shape or lam.shape[0] != len(phi):
+        raise InputValidationError("dissimilarities do not match the parent tree")
     p = phi.parent
-    raw = rho[np.arange(len(phi)), p]
+    lp = lam[p]
+    raw = np.where(gamma < lp, lp, 0.0).max(axis=1, initial=0.0)
     raw[phi.root] = INF
     times = raw.copy()
     for l in phi.leaves_first():

@@ -111,21 +111,21 @@ def truncation_result(
     dd: DowkerDissimilarity,
     alpha: TranslationFunction,
     initial_point: int = 0,
-    rho=None,
 ) -> TruncationResult:
     """Run the full truncation and keep the farthest-point tree.
 
     Gamma starts at alpha(Lambda); walking the tree leaves-first, each
     row is minimized against its children's finished rows and then
     maximized back up to Lambda, so each row dominates its whole subtree
-    wherever alpha(Lambda) allows.  ``rho`` may carry a precomputed cover
-    matrix of (Lambda, alpha(Lambda)) to share with other stages.
+    wherever alpha(Lambda) allows.  Validates alpha on the data scale and
+    builds the cover matrix of (Lambda, alpha(Lambda)).
     """
-    lam = as_extended_matrix(dd)
-    alpha.validate_on(2.0 * _max_finite(lam))
+    if not isinstance(dd, DowkerDissimilarity):
+        dd = DowkerDissimilarity(dd)
+    lam = dd.values
+    alpha.validate_on(2.0 * dd.max_finite)
     alpha_lam = alpha(lam)
-    if rho is None:
-        rho = cover_matrix(lam, alpha_lam)
+    rho = cover_matrix(lam, alpha_lam)
     fps = farthest_point_sampling(rho, initial_point)
     edges = truncation_tree(rho, fps)
     n = lam.shape[0]
@@ -157,12 +157,6 @@ def truncate(
     dd: DowkerDissimilarity,
     alpha: TranslationFunction,
     initial_point: int = 0,
-    rho=None,
 ) -> DowkerDissimilarity:
     """Truncated dissimilarity Gamma with Lambda <= Gamma <= alpha(Lambda)."""
-    return truncation_result(dd, alpha, initial_point, rho=rho).gamma
-
-
-def _max_finite(a: np.ndarray) -> float:
-    finite = a[np.isfinite(a)]
-    return float(finite.max()) if finite.size else 0.0
+    return truncation_result(dd, alpha, initial_point).gamma

@@ -151,6 +151,45 @@ class TestPh:
         assert main(["ph", "--input", str(square_file)]) == 1
         assert var in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "var", ["SPARSENERVE_MODE", "SPARSENERVE_FORMAT", "SPARSENERVE_NETWORK_MODE"]
+    )
+    def test_env_choice_outside_choices_exit_1(self, square_file, capsys, monkeypatch, var):
+        monkeypatch.setenv(var, "bogus")
+        assert main(["ph", "--input", str(square_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and var in err and "bogus" in err
+
+    def test_env_choice_default_and_flag_override(self, square_file, monkeypatch):
+        monkeypatch.setenv("SPARSENERVE_MODE", "network")
+        assert main(["ph", "--input", str(square_file)]) == 1  # network needs a graph
+        assert main(["ph", "--input", str(square_file), "--mode", "intrinsic"]) == 0
+
+    def test_negative_budget_exit_1(self, square_file, capsys):
+        for argv in (["ph", "--input", str(square_file)], ["benchmark"]):
+            assert main(argv + ["--max-simplices", "-3"]) == 1
+            assert "error: simplex budget must be >= 0" in capsys.readouterr().err
+
+    def test_negative_budget_from_env_exit_1(self, square_file, capsys, monkeypatch):
+        monkeypatch.setenv("SPARSENERVE_MAX_SIMPLICES", "-3")
+        assert main(["ph", "--input", str(square_file)]) == 1
+        assert "error: simplex budget must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ph", "--mode", "bogus"],
+            ["ph", "--dim", "x"],
+            ["ph", "--no-such-flag"],
+            ["bogus"],
+            [],
+        ],
+    )
+    def test_usage_error_exit_1(self, capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "\nerror: " in err
+
     def test_env_int_defaults(self, tmp_path, square_file, monkeypatch):
         monkeypatch.setenv("SPARSENERVE_MAX_SIMPLICES", "5")
         assert main(["ph", "--input", str(square_file)]) == 2

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import sparsenerve
 from sparsenerve.ingest import (
     GRAPH_KINDS,
     PointCloud,
@@ -179,6 +184,50 @@ class TestGenerateGraph:
             g = generate_graph(kind, **params[kind])
             assert all(w == 1.0 for _, _, w in g.edges)
 
+    @pytest.mark.parametrize(
+        "kind, params, node_count, edges",
+        [
+            ("cycle", dict(nodes=4), 4, [(0, 1), (0, 3), (1, 2), (2, 3)]),
+            ("star", dict(nodes=4), 4, [(0, 1), (0, 2), (0, 3)]),
+            (
+                "wheel", dict(nodes=5), 5,
+                [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 3), (3, 4)],
+            ),
+            (
+                "ladder", dict(rungs=3), 6,
+                [(0, 1), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (4, 5)],
+            ),
+            (
+                "circular_ladder", dict(rungs=3), 6,
+                [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (3, 5), (4, 5)],
+            ),
+            (
+                "grid", dict(rows=2, cols=3), 6,
+                [(0, 1), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (4, 5)],
+            ),
+            (
+                "complete_multipartite", dict(groups=2, group_size=2), 4,
+                [(0, 2), (0, 3), (1, 2), (1, 3)],
+            ),
+            # tiny instances: doubled edges collapse, a 1-cycle is a self-loop
+            ("cycle", dict(nodes=2), 2, [(0, 1)]),
+            ("wheel", dict(nodes=3), 3, [(0, 1), (0, 2), (1, 2)]),
+            ("circular_ladder", dict(rungs=2), 4, [(0, 1), (0, 2), (1, 3), (2, 3)]),
+            ("star", dict(nodes=1), 1, []),
+        ],
+    )
+    def test_exact_edge_lists(self, kind, params, node_count, edges):
+        g = generate_graph(kind, **params)
+        assert g.node_count == node_count
+        assert g.edges == tuple((u, v, 1.0) for u, v in edges)
+
+    @pytest.mark.parametrize(
+        "kind, params", [("cycle", dict(nodes=1)), ("circular_ladder", dict(rungs=1))]
+    )
+    def test_one_node_cycle_rejected(self, kind, params):
+        with pytest.raises(InputValidationError, match="self-loop"):
+            generate_graph(kind, **params)
+
     def test_unknown_kind(self):
         with pytest.raises(InputValidationError):
             generate_graph("petersen", nodes=10)
@@ -207,3 +256,13 @@ class TestCliffordTorus:
     def test_rejects_empty(self):
         with pytest.raises(InputValidationError):
             sample_clifford_torus(0, seed=1)
+
+
+def test_import_does_not_load_networkx():
+    src = os.path.dirname(os.path.dirname(sparsenerve.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, sparsenerve; print('networkx' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

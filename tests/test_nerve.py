@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsenerve.miniball import miniball
 from sparsenerve.model import (
@@ -21,8 +23,8 @@ from sparsenerve.nerve import (
     skeleton_size,
     slope_points,
     sparse_dowker_nerve,
-    sparse_nerve,
 )
+from sparsenerve.persistence import compute_persistence, diagram_interleaving_check
 
 from conftest import random_dissimilarity
 
@@ -237,3 +239,48 @@ class TestAmbientCech:
             for s, v in K.value_of().items():
                 assert s in full
                 assert full[s] == pytest.approx(v, abs=1e-9)
+
+
+@st.composite
+def tied_dowker_matrices(draw):
+    """Rectangular integer-valued Lambda with heavy ties and some all-inf rows."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    entries = st.sampled_from([0.0, 1.0, 1.0, 2.0, INF])
+    lam = np.reshape(
+        draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols)), (rows, cols)
+    )
+    lam[draw(st.lists(st.integers(0, rows - 1), max_size=2))] = INF
+    return lam
+
+
+NON_MULTIPLICATIVE = [
+    TranslationFunction.additive(1.0),
+    TranslationFunction.polynomial([0.3, 1.0, 0.0, 0.5]),
+    TranslationFunction.tabulated([0.0, 1.0, 3.0], [0.5, 2.0, 3.5]),
+]
+
+
+class TestPipelineProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(lam=tied_dowker_matrices(), d=st.integers(0, 2), data=st.data())
+    def test_identity_is_exact(self, lam, d, data):
+        start = data.draw(st.integers(0, lam.shape[0] - 1))
+        sparse = sparse_dowker_nerve(
+            DowkerDissimilarity(lam), TranslationFunction.identity(), d, start
+        ).complex
+        full = full_dowker_nerve(lam, d)
+        assert compute_persistence(sparse, d).points == compute_persistence(full, d).points
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lam=tied_dowker_matrices(),
+        alpha=st.sampled_from(NON_MULTIPLICATIVE),
+        d=st.integers(0, 2),
+    )
+    def test_sandwich_and_interleaving(self, lam, alpha, d):
+        result = sparse_dowker_nerve(DowkerDissimilarity(lam), alpha, d)
+        gamma = result.gamma.values
+        assert np.all(lam <= gamma) and np.all(gamma <= alpha(lam))
+        approx = compute_persistence(result.complex, d)
+        exact = compute_persistence(full_dowker_nerve(lam, d), d)
+        assert diagram_interleaving_check(exact, approx, alpha).passed

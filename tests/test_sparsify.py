@@ -2,88 +2,89 @@ import numpy as np
 import pytest
 
 from sparsenerve.cover import cover_matrix
-from sparsenerve.model import INF, InputValidationError, ParentFunction
-from sparsenerve.sparsify import parent_function, restriction_times
+from sparsenerve.model import (
+    INF,
+    DowkerDissimilarity,
+    InputValidationError,
+    ParentFunction,
+    TranslationFunction,
+)
+from sparsenerve.sparsify import restriction_times
+from sparsenerve.truncation import truncation_result
 
-from conftest import random_dissimilarity
+from conftest import ENTRY_POOL, random_dissimilarity
+
+ALPHAS = [
+    TranslationFunction.identity(),
+    TranslationFunction.additive(1.0),
+    TranslationFunction.multiplicative(3.0),
+]
 
 
-class TestParentFunction:
-    def test_hand_run(self):
-        rho = np.array([[0.0, 1, 3], [3, 0, 3], [3, 2, 0]])
-        phi = parent_function(rho)
-        assert phi.root == 1
-        assert phi.parent.tolist() == [1, 1, 1]
+def _random_tree(rng, n):
+    """Uniformly shuffled recursive tree: each node hangs off an earlier one."""
+    order = rng.permutation(n)
+    parent = np.empty(n, dtype=int)
+    parent[order[0]] = order[0]
+    for i in range(1, n):
+        parent[order[i]] = order[rng.integers(i)]
+    return ParentFunction(parent)
 
-    def test_single_point(self):
-        assert parent_function([[0.0]]).parent.tolist() == [0]
 
-    def test_two_points(self):
-        phi = parent_function(np.array([[0.0, 5.0], [3.0, 0.0]]))
-        assert phi.root == 0
-        assert phi.parent.tolist() == [0, 0]
-
-    def test_all_zero_rows_attach_to_root(self):
-        phi = parent_function(np.zeros((4, 4)))
-        assert phi.parent.tolist() == [0, 0, 0, 0]
-
-    def test_tree_validity_union_find(self, rng):
-        # n-1 non-loop edges and no cycles, checked with union-find
-        for _ in range(30):
-            rho = cover_matrix(random_dissimilarity(rng))
-            phi = parent_function(rho)
-            n = len(phi)
-            uf = list(range(n))
-
-            def find(x):
-                while uf[x] != x:
-                    uf[x] = uf[uf[x]]
-                    x = uf[x]
-                return x
-
-            edges = 0
-            for child, parent in enumerate(phi.parent):
-                if child == int(parent):
-                    continue
-                a, b = find(child), find(int(parent))
-                assert a != b, "cycle in parent function"
-                uf[a] = b
-                edges += 1
-            assert edges == n - 1
-
-    def test_determinism(self, rng):
-        rho = cover_matrix(random_dissimilarity(rng))
-        assert parent_function(rho).parent.tolist() == parent_function(rho).parent.tolist()
+def _cases(rng, count):
+    """(phi, Lambda, Gamma) triples: truncation trees and random trees, with
+    rectangular Lambda, inf entries and, in every third case, all-inf rows."""
+    for k in range(count):
+        lam = random_dissimilarity(rng)
+        if k % 3 == 2:
+            lam[rng.integers(lam.shape[0])] = INF
+        if k % 2:
+            tr = truncation_result(DowkerDissimilarity(lam), ALPHAS[k % len(ALPHAS)])
+            yield tr.tree, lam, tr.gamma.values
+        else:
+            gamma = np.maximum(lam, rng.choice(ENTRY_POOL, size=lam.shape))
+            yield _random_tree(rng, lam.shape[0]), lam, gamma
 
 
 class TestRestrictionTimes:
     def test_star_tree(self):
+        # raw deadline of l: largest Lambda(1, w) with Gamma(l, w) < Lambda(1, w)
         phi = ParentFunction(parent=[1, 1, 1])
-        rho = np.zeros((3, 3))
-        rho[0, 1] = 1.0
-        rho[2, 1] = 2.0
-        R = restriction_times(phi, rho)
+        lam = np.array([[0.0, 5.0], [1.0, 2.0], [0.0, 0.0]])
+        R = restriction_times(phi, lam, lam)
         assert R.times.tolist() == [1.0, INF, 2.0]
 
     def test_chain_propagates_max(self):
         # chain 2 -> 1 -> 0 with R'(2)=5, R'(1)=3: the parent absorbs 5
         phi = ParentFunction(parent=[0, 0, 1])
-        rho = np.zeros((3, 3))
-        rho[1, 0] = 3.0
-        rho[2, 1] = 5.0
-        R = restriction_times(phi, rho)
+        lam = np.array([[3.0, 0.0], [0.0, 5.0], [0.0, 0.0]])
+        R = restriction_times(phi, lam, lam)
         assert R.times.tolist() == [INF, 5.0, 5.0]
 
     def test_single_point(self):
         phi = ParentFunction(parent=[0])
-        R = restriction_times(phi, [[0.0]])
+        R = restriction_times(phi, [[0.0]], [[0.0]])
         assert np.isinf(R.times[0])
 
+    def test_infinite_rows(self):
+        # an infinite parent row covers any finite child entry at inf; an
+        # infinite child row is never strictly below it
+        phi = ParentFunction(parent=[0, 0, 0])
+        lam = np.array([[INF, INF], [1.0, INF], [INF, INF]])
+        R = restriction_times(phi, lam, lam)
+        assert R.times.tolist() == [INF, INF, 0.0]
+
+    def test_shape_mismatch_rejected(self):
+        phi = ParentFunction(parent=[0, 0])
+        with pytest.raises(InputValidationError):
+            restriction_times(phi, np.zeros((2, 3)), np.zeros((2, 2)))
+        with pytest.raises(InputValidationError):
+            restriction_times(phi, np.zeros((3, 2)), np.zeros((3, 2)))
+
     def test_monotone_and_bounded_below(self, rng):
-        for _ in range(30):
-            rho = cover_matrix(random_dissimilarity(rng))
-            phi = parent_function(rho)
-            R = restriction_times(phi, rho)
+        for phi, lam, gamma in _cases(rng, 30):
+            rho = cover_matrix(lam, gamma)
+            R = restriction_times(phi, lam, gamma)
             for l, p in enumerate(phi.parent):
                 if l == int(p):
                     assert np.isinf(R.times[l])
@@ -92,11 +93,10 @@ class TestRestrictionTimes:
                     assert R.times[l] >= rho[l, p]
 
     def test_subtree_max_oracle(self, rng):
-        # explicit subtree enumeration
-        for _ in range(20):
-            rho = cover_matrix(random_dissimilarity(rng))
-            phi = parent_function(rho)
-            R = restriction_times(phi, rho)
+        # raw deadlines from the full cover matrix, then explicit subtrees
+        for phi, lam, gamma in _cases(rng, 60):
+            rho = cover_matrix(lam, gamma)
+            R = restriction_times(phi, lam, gamma)
             n = len(phi)
             rprime = np.array(
                 [

@@ -146,11 +146,3 @@ class TestTruncate:
         a = truncate(DowkerDissimilarity(lam), alpha).values
         b = truncate(DowkerDissimilarity(lam), alpha).values
         np.testing.assert_array_equal(a, b)
-
-    def test_shared_rho_matches_fresh(self, rng):
-        lam = random_dissimilarity(rng)
-        alpha = TranslationFunction.multiplicative(3)
-        rho = cover_matrix(lam, alpha(lam))
-        a = truncate(DowkerDissimilarity(lam), alpha, rho=rho).values
-        b = truncate(DowkerDissimilarity(lam), alpha).values
-        np.testing.assert_array_equal(a, b)
