@@ -1,15 +1,38 @@
-"""Smallest enclosing ball of a finite point set (Welzl's algorithm)."""
+"""Smallest enclosing balls of finite point sets.
+
+``enclosing_radii`` computes the radii for many small vertex sets at once,
+in closed form: the smallest enclosing ball of a set is the circumball of
+an affinely independent support subset (at most D + 1 points in R^D), and
+no enclosing ball is smaller, so the radius is the smallest circumball
+radius, over all vertex subsets, whose ball holds every vertex (Gärtner,
+"Fast and robust smallest enclosing balls", 1999).  Each subset's
+circumcenter comes from one batched Gram solve over a batch of sets of
+the same cardinality.  ``miniball`` is Welzl's algorithm (Welzl 1991) on
+one point set; it is the independent oracle behind ``full_ambient_cech``
+and the tests.
+"""
 
 from __future__ import annotations
 
 import random
-import sys
+from itertools import combinations
 
 import numpy as np
 
 from .model import InputValidationError
 
 TOLERANCE = 1e-9
+
+# A subset's Gram matrix counts as singular when the determinant of its
+# diagonally scaled form (1 for orthogonal edges, 0 for dependent ones) is
+# at most this.  Such subsets are affinely dependent up to rounding; their
+# circumballs are huge or ill-defined, and a nearly flat support set has a
+# sub-subset whose ball is as small within far less than TOLERANCE.
+SINGULAR = 1e-12
+
+# Sets per batch in ``enclosing_radii``: large enough that numpy's per-call
+# cost is spread thin, small enough that the temporaries stay below a few MiB.
+CHUNK = 1024
 
 
 def _circumsphere(S: np.ndarray):
@@ -33,7 +56,9 @@ def miniball(points, tol: float = TOLERANCE):
 
     Returns ``(center, radius)`` with every point within
     ``radius + tol * (1 + radius)`` of the center.  Deterministic: the
-    internal shuffle uses a fixed seed.
+    internal shuffle uses a fixed seed.  Welzl's algorithm in its loop
+    form: the recursion goes one level deeper per boundary point, so its
+    depth is at most dim + 2 whatever the number of points.
     """
     P = np.asarray(points, dtype=float)
     if P.ndim == 1:
@@ -47,21 +72,73 @@ def miniball(points, tol: float = TOLERANCE):
     idx = list(range(P.shape[0]))
     random.Random(0).shuffle(idx)
 
-    def welzl(i, boundary):
-        if i == len(idx) or len(boundary) == dim + 1:
-            if not boundary:
-                return P[idx[0]].astype(float), -1.0
-            return _circumsphere(P[boundary])
-        c, r = welzl(i + 1, boundary)
-        p = P[idx[i]]
-        if np.linalg.norm(p - c) <= r + tol * (1.0 + max(r, 0.0)):
-            return c, r
-        return welzl(i + 1, boundary + [idx[i]])
+    def ball(n, boundary):
+        """Smallest ball of the first n shuffled points with boundary on its sphere."""
+        if not boundary:
+            c, r = P[idx[0]].astype(float), -1.0
+        else:
+            c, r = _circumsphere(P[boundary])
+            if len(boundary) == dim + 1:
+                return c, r
+        for i in range(n):
+            p = P[idx[i]]
+            if np.linalg.norm(p - c) > r + tol * (1.0 + max(r, 0.0)):
+                c, r = ball(i, boundary + [idx[i]])
+        return c, r
 
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 2 * len(idx) + 100))
-    try:
-        center, radius = welzl(0, [])
-    finally:
-        sys.setrecursionlimit(old)
+    center, radius = ball(len(idx), [])
     return center, max(radius, 0.0)
+
+
+def enclosing_radii(X, simplices) -> np.ndarray:
+    """Smallest-enclosing-ball radius of every row of ``simplices``.
+
+    ``X`` is an ``(n, D)`` array of finite points and ``simplices`` an
+    ``(m, k)`` integer array of vertex indices, all sets of the same
+    cardinality k.  For every vertex subset T of size at most
+    min(k, D + 1), the circumball of T with its center in the affine hull
+    of T is built for ``CHUNK`` sets at a time; it counts if every vertex
+    lies within ``r + TOLERANCE * (1 + r)``, the rule ``miniball`` uses.
+    The radius is the smallest r that counts.
+    """
+    X = np.asarray(X, dtype=float)
+    S = np.asarray(simplices, dtype=np.intp)
+    k = S.shape[1]
+    subsets = [
+        T for size in range(1, min(k, X.shape[1] + 1) + 1)
+        for T in combinations(range(k), size)
+    ]
+    radii = np.empty(S.shape[0])
+    for start in range(0, S.shape[0], CHUNK):
+        P = X[S[start : start + CHUNK]]  # (chunk, k, D)
+        best = np.full(P.shape[0], np.inf)
+        for T in subsets:
+            center, radius = _circumballs(P[:, T])
+            dist = np.linalg.norm(P - center[:, None, :], axis=2).max(axis=1)
+            ok = dist <= radius + TOLERANCE * (1.0 + radius)
+            best = np.where(ok & (radius < best), radius, best)
+        radii[start : start + CHUNK] = best
+    return radii
+
+
+def _circumballs(Q: np.ndarray):
+    """Centers and radii of the circumballs of ``m`` point sets ``(m, t, D)``.
+
+    Each center lies in the affine hull of its set: center = Q0 + x U with
+    U the edge vectors from Q0 and (U U^T) x = diag(U U^T) / 2.  Sets whose
+    Gram matrix is singular get radius inf.
+    """
+    if Q.shape[1] == 1:
+        return Q[:, 0], np.zeros(Q.shape[0])
+    U = Q[:, 1:] - Q[:, :1]  # (m, t-1, D)
+    G = U @ U.transpose(0, 2, 1)
+    diag = np.diagonal(G, axis1=1, axis2=2)
+    # A zero diagonal entry (a repeated point) zeroes its row of G, so the
+    # scaled determinant is 0 there too.
+    scale = np.sqrt(np.where(diag > 0, diag, 1.0))
+    regular = np.linalg.det(G / (scale[:, :, None] * scale[:, None, :])) > SINGULAR
+    G = np.where(regular[:, None, None], G, np.eye(G.shape[1]))
+    x = np.linalg.solve(G, 0.5 * diag[:, :, None])[:, :, 0]
+    center = Q[:, 0] + np.einsum("mi,mid->md", x, U)
+    radius = np.where(regular, np.linalg.norm(center - Q[:, 0], axis=1), np.inf)
+    return center, radius

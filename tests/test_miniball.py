@@ -1,7 +1,13 @@
+import importlib
+import sys
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sparsenerve.miniball import miniball
+from sparsenerve.miniball import enclosing_radii, miniball
 from sparsenerve.model import InputValidationError
 
 
@@ -65,3 +71,72 @@ class TestMiniball:
         r1 = miniball(pts)[1]
         r2 = miniball(pts)[1]
         assert r1 == r2
+
+    def test_recursion_limit_untouched(self, monkeypatch):
+        # 3,000 points would need a recursion depth of about 3,000 in the
+        # recursive form; the loop form stays within dim + 2 levels.
+        def forbidden(limit):
+            raise AssertionError("miniball changed the recursion limit")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", forbidden)
+        limit = sys.getrecursionlimit()
+        pts = np.random.default_rng(4).normal(size=(3000, 2))
+        center, radius = miniball(pts)
+        assert sys.getrecursionlimit() == limit
+        assert np.all(np.linalg.norm(pts - center, axis=1) <= radius + 1e-9 * (1 + radius))
+
+
+@st.composite
+def point_sets(draw):
+    """k <= 4 points in R^D, D <= 4, with exact degeneracies, at a random scale.
+
+    Grid points repeat and line up; ``duplicate`` copies one point onto
+    another, ``collinear`` puts all points on one line and ``cocircular``
+    on one circle in a coordinate plane.
+    """
+    D, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    scale = 10.0 ** draw(st.floats(-3, 3))
+    grid = st.integers(-3, 3)
+    kind = draw(st.sampled_from(["grid", "float", "duplicate", "collinear", "cocircular"]))
+    if kind == "float":
+        X = np.array(draw(st.lists(st.floats(-1, 1), min_size=k * D, max_size=k * D)))
+    else:
+        X = np.array(draw(st.lists(grid, min_size=k * D, max_size=k * D)), dtype=float)
+    X = X.reshape(k, D)
+    if kind == "duplicate":
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        X[i] = X[j]
+    elif kind == "collinear":
+        steps = np.array(draw(st.lists(grid, min_size=k, max_size=k)), dtype=float)
+        X = X[0] + steps[:, None] * (X[-1] - X[0])
+    elif kind == "cocircular" and D >= 2:
+        a, b = sorted(draw(st.lists(st.integers(0, D - 1), min_size=2, max_size=2, unique=True)))
+        angles = np.pi / 6 * np.array(draw(st.lists(st.integers(0, 11), min_size=k, max_size=k)))
+        X = np.repeat(X[:1], k, axis=0)
+        X[:, a] += np.cos(angles)
+        X[:, b] += np.sin(angles)
+    return scale * X
+
+
+class TestEnclosingRadii:
+    @settings(max_examples=400, deadline=None)
+    @given(X=point_sets())
+    def test_matches_welzl(self, X):
+        k = X.shape[0]
+        rows = np.array([np.arange(k), np.arange(k)[::-1]])
+        expected = miniball(X)[1]
+        for r in enclosing_radii(X, rows):
+            assert abs(r - expected) <= 1e-9 * (1 + expected)
+
+    def test_batch_of_subsets(self, monkeypatch):
+        # A small batch size makes every cardinality span several batches.
+        monkeypatch.setattr(importlib.import_module("sparsenerve.miniball"), "CHUNK", 7)
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(9, 3))
+        for k in range(1, 6):
+            simplices = np.array(list(combinations(range(9), k)))
+            expected = [miniball(X[s])[1] for s in simplices]
+            assert enclosing_radii(X, simplices) == pytest.approx(expected, abs=1e-12)
+
+    def test_empty_batch(self):
+        assert enclosing_radii(np.zeros((3, 2)), np.zeros((0, 2), dtype=int)).shape == (0,)

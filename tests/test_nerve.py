@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -239,6 +241,65 @@ class TestAmbientCech:
             for s, v in K.value_of().items():
                 assert s in full
                 assert full[s] == pytest.approx(v, abs=1e-9)
+
+    def test_non_finite_rejected_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputValidationError):
+                ambient_cech_nerve(
+                    np.array([[0.0, 0.0], [1.0, np.inf], [2.0, 0.0]]),
+                    TranslationFunction.identity(), 1,
+                )
+
+    def test_zero_dimensional_points_rejected(self):
+        with pytest.raises(InputValidationError):
+            ambient_cech_nerve(np.zeros((3, 0)), TranslationFunction.identity(), 1)
+
+    def test_interleaving_guarantee(self):
+        # alpha truncates intrinsic radii (balls centered at data points),
+        # while the values are ambient radii, which can be up to two times
+        # smaller.  mult:3 and add:0.5 held with alpha itself,
+        # poly:0.3,1,0,0.5 with alpha(2t) / 2, and every alpha, alpha = id
+        # included, with t -> alpha(2t).
+        rng = np.random.default_rng(7)
+        tilde = TranslationFunction.polynomial([0.15, 1.0, 0.0, 2.0])
+        ts = np.linspace(0.0, 50.0, 501)
+        cases = [("mult:3", None), ("add:0.5", None), ("poly:0.3,1,0,0.5", tilde)]
+        for spec in ("id", "mult:1.5", "add:0.1", "poly:0,1,1"):
+            alpha = TranslationFunction.parse(spec)
+            cases.append((spec, TranslationFunction.tabulated(ts, alpha(2 * ts))))
+        clouds = [rng.normal(size=(int(rng.integers(3, 9)), 2)) for _ in range(20)]
+        clouds += [rng.normal(size=(int(rng.integers(3, 7)), 3)) for _ in range(8)]
+        for X in clouds + AMBIENT_COUNTEREXAMPLES:
+            exact = compute_persistence(full_ambient_cech(X, 1), 1)
+            for spec, check in cases:
+                alpha = TranslationFunction.parse(spec)
+                approx = compute_persistence(ambient_cech_nerve(X, alpha, 1), 1)
+                assert diagram_interleaving_check(exact, approx, check or alpha).passed, (spec, X)
+
+
+# Clouds whose ambient diagrams fail the alpha-interleaving check with the
+# exact ambient Cech diagram (the first at mult:1.5, the second at add:0.1
+# and at id: it drops the short H1 class of an acute triangle) or the
+# alpha(2t) / 2 check (the third at add:0.5).
+AMBIENT_COUNTEREXAMPLES = [
+    np.array([
+        [0.24685048515177624, 0.33266792638454873], [-0.5407184761472628, -0.04473301046048929],
+        [-0.47604539067334756, -0.022480194844427155], [0.26975939355186773, -0.4130482097715673],
+        [0.5367479432216727, -0.09739234166380889], [-0.3592703400118929, -0.0417952055942561],
+        [0.23303241831747099, -0.4178799888083891], [-0.004279788344488229, -0.4169437488818338],
+    ]),
+    np.array([
+        [-2.425037632677994, 1.6529295956439034, -1.3333704771166313],
+        [6.225563328946171, -0.14617063387711096, 1.5063809112258428],
+        [-2.808486459413498, -2.4320683928983344, 0.6050859026119133],
+    ]),
+    np.array([
+        [-0.39679593213623776, -0.8771032876958236], [1.0601722006090062, 0.2130089000439987],
+        [2.0063779933758443, 0.7253370628882799], [-0.6687971256284923, -0.1966351163693193],
+        [0.42303885599202906, 0.5006888592557186],
+    ]),
+]
 
 
 @st.composite
