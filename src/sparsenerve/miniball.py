@@ -6,10 +6,10 @@ an affinely independent support subset (at most D + 1 points in R^D), and
 no enclosing ball is smaller, so the radius is the smallest circumball
 radius, over all vertex subsets, whose ball holds every vertex (Gärtner,
 "Fast and robust smallest enclosing balls", 1999).  Each subset's
-circumcenter comes from one batched Gram solve over a batch of sets of
-the same cardinality.  ``miniball`` is Welzl's algorithm (Welzl 1991) on
-one point set; it is the independent oracle behind ``full_ambient_cech``
-and the tests.
+circumcenter is built by Gram-Schmidt on its edge vectors, for a whole
+batch of sets of the same cardinality at once.  ``miniball`` is Welzl's
+algorithm (Welzl 1991) on one point set; it is the independent oracle
+behind ``full_ambient_cech`` and the tests.
 """
 
 from __future__ import annotations
@@ -22,13 +22,6 @@ import numpy as np
 from .model import InputValidationError
 
 TOLERANCE = 1e-9
-
-# A subset's Gram matrix counts as singular when the determinant of its
-# diagonally scaled form (1 for orthogonal edges, 0 for dependent ones) is
-# at most this.  Such subsets are affinely dependent up to rounding; their
-# circumballs are huge or ill-defined, and a nearly flat support set has a
-# sub-subset whose ball is as small within far less than TOLERANCE.
-SINGULAR = 1e-12
 
 # Sets per batch in ``enclosing_radii``: large enough that numpy's per-call
 # cost is spread thin, small enough that the temporaries stay below a few MiB.
@@ -109,36 +102,49 @@ def enclosing_radii(X, simplices) -> np.ndarray:
         for T in combinations(range(k), size)
     ]
     radii = np.empty(S.shape[0])
-    for start in range(0, S.shape[0], CHUNK):
-        P = X[S[start : start + CHUNK]]  # (chunk, k, D)
-        best = np.full(P.shape[0], np.inf)
-        for T in subsets:
-            center, radius = _circumballs(P[:, T])
-            dist = np.linalg.norm(P - center[:, None, :], axis=2).max(axis=1)
-            ok = dist <= radius + TOLERANCE * (1.0 + radius)
-            best = np.where(ok & (radius < best), radius, best)
-        radii[start : start + CHUNK] = best
+    # Affinely dependent subsets may give non-finite or huge centers; the
+    # containment test judges their balls like any other, without warnings.
+    with np.errstate(all="ignore"):
+        for start in range(0, S.shape[0], CHUNK):
+            P = X[S[start : start + CHUNK]]  # (chunk, k, D)
+            best = np.full(P.shape[0], np.inf)
+            for T in subsets:
+                center, radius = _circumballs(P[:, T])
+                dist = np.linalg.norm(P - center[:, None, :], axis=2).max(axis=1)
+                ok = dist <= radius + TOLERANCE * (1.0 + radius)
+                best = np.where(ok & (radius < best), radius, best)
+            radii[start : start + CHUNK] = best
     return radii
 
 
 def _circumballs(Q: np.ndarray):
     """Centers and radii of the circumballs of ``m`` point sets ``(m, t, D)``.
 
-    Each center lies in the affine hull of its set: center = Q0 + x U with
-    U the edge vectors from Q0 and (U U^T) x = diag(U U^T) / 2.  Sets whose
-    Gram matrix is singular get radius inf.
+    The center starts at Q0 and takes in one vertex at a time: with e the
+    unit part of the vertex's edge u = Qi - Q0 orthogonal to the earlier
+    edges (modified Gram-Schmidt), it moves along e until Qi is as far as
+    Q0, which leaves the earlier vertices as far as before.  So the center
+    lies in the affine hull of the set and is equidistant from its points.
+    Orthogonalizing the edges, rather than solving with their Gram matrix,
+    keeps long, thin sets accurate.  An affinely dependent set divides by
+    a zero or rounding-sized length, so its center is non-finite or
+    arbitrary; that is harmless, as the caller keeps only balls that hold
+    every vertex, and the smallest enclosing ball needs no dependent set.
     """
     if Q.shape[1] == 1:
         return Q[:, 0], np.zeros(Q.shape[0])
-    U = Q[:, 1:] - Q[:, :1]  # (m, t-1, D)
-    G = U @ U.transpose(0, 2, 1)
-    diag = np.diagonal(G, axis1=1, axis2=2)
-    # A zero diagonal entry (a repeated point) zeroes its row of G, so the
-    # scaled determinant is 0 there too.
-    scale = np.sqrt(np.where(diag > 0, diag, 1.0))
-    regular = np.linalg.det(G / (scale[:, :, None] * scale[:, None, :])) > SINGULAR
-    G = np.where(regular[:, None, None], G, np.eye(G.shape[1]))
-    x = np.linalg.solve(G, 0.5 * diag[:, :, None])[:, :, 0]
-    center = Q[:, 0] + np.einsum("mi,mid->md", x, U)
-    radius = np.where(regular, np.linalg.norm(center - Q[:, 0], axis=1), np.inf)
-    return center, radius
+    c = np.zeros_like(Q[:, 0])  # center - Q0
+    basis = []
+    for i in range(1, Q.shape[1]):
+        u = Q[:, i] - Q[:, 0]
+        v = u
+        for e in basis:
+            v = v - np.sum(v * e, axis=1, keepdims=True) * e
+        length = np.linalg.norm(v, axis=1, keepdims=True)
+        e = v / length
+        # |c + t e - u| = |c + t e| holds for t = (|u|^2 / 2 - u.c) / (u.e),
+        # and u.e = length; s is the numerator.
+        s = 0.5 * np.sum(u * u, axis=1, keepdims=True) - np.sum(u * c, axis=1, keepdims=True)
+        c = c + (s / length) * e
+        basis.append(e)
+    return Q[:, 0] + c, np.linalg.norm(c, axis=1)

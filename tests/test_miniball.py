@@ -86,19 +86,25 @@ class TestMiniball:
         assert np.all(np.linalg.norm(pts - center, axis=1) <= radius + 1e-9 * (1 + radius))
 
 
+KINDS = ("grid", "float", "duplicate", "collinear", "cocircular", "needle")
+
+
 @st.composite
-def point_sets(draw):
+def point_sets(draw, kinds=KINDS):
     """k <= 4 points in R^D, D <= 4, with exact degeneracies, at a random scale.
 
     Grid points repeat and line up; ``duplicate`` copies one point onto
-    another, ``collinear`` puts all points on one line and ``cocircular``
-    on one circle in a coordinate plane.
+    another, ``collinear`` puts all points on one line, ``cocircular``
+    on one circle in a coordinate plane, and ``needle`` spaces all points
+    but one evenly on a unit circle (a segment for D = 2) and puts that one
+    up to 1e5 away above its center, so that the edges from the apex are
+    nearly parallel.
     """
     D, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     scale = 10.0 ** draw(st.floats(-3, 3))
     grid = st.integers(-3, 3)
-    kind = draw(st.sampled_from(["grid", "float", "duplicate", "collinear", "cocircular"]))
-    if kind == "float":
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("float", "needle"):
         X = np.array(draw(st.lists(st.floats(-1, 1), min_size=k * D, max_size=k * D)))
     else:
         X = np.array(draw(st.lists(grid, min_size=k * D, max_size=k * D)), dtype=float)
@@ -115,6 +121,15 @@ def point_sets(draw):
         X = np.repeat(X[:1], k, axis=0)
         X[:, a] += np.cos(angles)
         X[:, b] += np.sin(angles)
+    elif kind == "needle" and D >= 2:
+        turn = draw(st.floats(0, 1))
+        angles = 2 * np.pi * (np.arange(k - 1) / max(k - 1, 1) + turn)
+        X = np.zeros((k, D))
+        X[:-1, 0] = np.cos(angles)
+        if D >= 3:
+            X[:-1, 1] = np.sin(angles)
+        X[-1, -1] = 10.0 ** draw(st.floats(1, 5))
+        X = np.roll(X, draw(st.integers(0, k - 1)), axis=0)
     return scale * X
 
 
@@ -122,11 +137,34 @@ class TestEnclosingRadii:
     @settings(max_examples=400, deadline=None)
     @given(X=point_sets())
     def test_matches_welzl(self, X):
+        self.check_against_welzl(X)
+
+    @settings(max_examples=200, deadline=None)
+    @given(X=point_sets(kinds=("needle",)))
+    def test_needles_match_welzl(self, X):
+        self.check_against_welzl(X)
+
+    @staticmethod
+    def check_against_welzl(X):
         k = X.shape[0]
         rows = np.array([np.arange(k), np.arange(k)[::-1]])
         expected = miniball(X)[1]
         for r in enclosing_radii(X, rows):
+            assert np.isfinite(r)
             assert abs(r - expected) <= 1e-9 * (1 + expected)
+
+    def test_needle_tetrahedron(self):
+        # A far apex over a unit triangle: not flat, but its edge vectors
+        # from the apex are nearly parallel.  By symmetry the smallest ball
+        # passes through all four points.
+        h = np.sqrt(3) / 2
+        X = np.array(
+            [[0.0, 0.0, 0.0], [h / 1.5, 0.0, 1e3], [-h / 3, 0.5, 1e3], [-h / 3, -0.5, 1e3]]
+        )
+        expected = miniball(X)[1]
+        assert expected == pytest.approx(500.0 + 1 / 6000, rel=1e-12)
+        rows = np.array([[0, 1, 2, 3], [1, 2, 3, 0], [3, 2, 1, 0]])
+        assert enclosing_radii(X, rows) == pytest.approx([expected] * 3, rel=1e-12)
 
     def test_batch_of_subsets(self, monkeypatch):
         # A small batch size makes every cardinality span several batches.
