@@ -6,8 +6,9 @@ table against the published reference sizes.
 
 Exit codes: 0 success, 1 invalid input (usage errors included), 2 simplex
 budget exceeded.
-Every flag can also be set through an environment variable prefixed
-``SPARSENERVE_`` (e.g. ``SPARSENERVE_DIM=2``); explicit flags win.
+The ``ph`` flags except ``--seed`` and ``--initial-point`` can also be set through
+``SPARSENERVE_*`` environment variables (e.g. ``SPARSENERVE_DIM=2``); explicit
+flags win.
 """
 
 from __future__ import annotations

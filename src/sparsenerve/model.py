@@ -109,14 +109,6 @@ class DowkerDissimilarity:
         object.__setattr__(self, "values", a)
 
     @property
-    def n_landmarks(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_witnesses(self) -> int:
-        return self.values.shape[1]
-
-    @property
     def max_finite(self) -> float:
         finite = self.values[np.isfinite(self.values)]
         return float(finite.max()) if finite.size else 0.0
@@ -318,11 +310,6 @@ class ParentFunction:
     @property
     def root(self) -> int:
         return self._root
-
-    @property
-    def depth(self) -> np.ndarray:
-        """Distance of each node from the root along the tree."""
-        return self._depth
 
     def __len__(self):
         return self.parent.size

@@ -11,8 +11,9 @@ Lambda(l, w), or smallest-enclosing-ball radii of the points.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -63,56 +64,69 @@ class FilteredComplex:
     def facet_indices(self) -> list:
         """Indices of each simplex's facets, checking the complex in the same pass.
 
-        Entry ``j`` of the tuple for simplex ``s`` is the index of the facet
-        without ``s[j]``; vertices get the empty tuple.  Raises
-        ``InputValidationError`` if the simplices are not sorted by (value,
-        cardinality, vertices), repeat, miss a facet, or enter before one of
-        their facets.
+        Entry ``j`` of the tuple for a simplex ``s`` of ``k`` vertices is the
+        index of the facet without ``s[k - 1 - j]``; vertices get the empty
+        tuple.  Raises ``InputValidationError`` if the simplices are not
+        sorted by (value, cardinality, vertices), repeat, miss a facet, or
+        enter before one of their facets.
         """
-        index = {}
-        facets = []
-        values = self.values.tolist()
-        prev = None
-        for i, (s, v) in enumerate(zip(self.simplices, values)):
-            key = (v, len(s), s)
-            if prev is not None and key < prev:
-                raise InputValidationError(f"not sorted at {prev[2]} -> {s}")
-            prev = key
-            if s in index:
-                raise InputValidationError(f"duplicate simplex {s}")
-            index[s] = i
-            if len(s) == 1:
-                facets.append(())
-                continue
-            try:
-                faces = tuple(index[s[:j] + s[j + 1 :]] for j in range(len(s)))
-            except KeyError:
-                # In a sorted prefix every listed facet has a value <= v, so
-                # a facet not listed yet is missing, later and larger, or
-                # later because the order breaks after this simplex.
-                lookup = self.value_of()
-                for face in combinations(s, len(s) - 1):
-                    if face not in lookup:
-                        raise InputValidationError(
-                            f"missing face {face} of {s}"
-                        ) from None
-                    if lookup[face] > v:
-                        raise InputValidationError(
-                            f"filtration not monotone: {face} > {s}"
-                        ) from None
-                raise InputValidationError(
-                    f"not sorted: a face of {s} comes after it"
-                ) from None
-            facets.append(faces)
+        simplices = self.simplices
+        values = self.values
+        card = np.fromiter(map(len, simplices), np.intp, len(simplices))
+        dv, dc = np.diff(values), np.diff(card)
+        desc = np.fromiter(map(operator.gt, simplices[:-1], simplices[1:]), bool)
+        tied_desc = (dv == 0) & ((dc < 0) | ((dc == 0) & desc))
+        unsorted = np.flatnonzero((dv < 0) | tied_desc)
+        if unsorted.size:
+            i = unsorted[0]
+            raise InputValidationError(
+                f"not sorted at {simplices[i]} -> {simplices[i + 1]}"
+            )
+        facets = _facet_positions(simplices)
+        # Sorted and monotone, every facet comes before its simplex.
+        counts = np.where(card > 1, card, 0)
+        face = np.fromiter(chain.from_iterable(facets), np.intp)
+        worse = np.flatnonzero(values[face] > np.repeat(values, counts))
+        if worse.size:
+            j = worse[0]
+            owner = np.searchsorted(np.cumsum(counts), j, side="right")
+            raise InputValidationError(
+                f"filtration not monotone: {simplices[face[j]]} > {simplices[owner]}"
+            )
         return facets
+
+
+def _facet_positions(simplices) -> list:
+    """Positions in ``simplices`` of each simplex's facets, in ``combinations`` order.
+
+    Vertices get the empty tuple.  Raises ``InputValidationError`` on a
+    repeated simplex or a missing facet.
+    """
+    index = {s: i for i, s in enumerate(simplices)}
+    if len(index) < len(simplices):
+        dup = next(s for i, s in enumerate(simplices) if index[s] != i)
+        raise InputValidationError(f"duplicate simplex {dup}")
+    position = index.__getitem__
+    facets = []
+    for s in simplices:
+        faces = combinations(s, len(s) - 1) if len(s) > 1 else ()
+        try:
+            facets.append(tuple(map(position, faces)))
+        except KeyError as missing:
+            raise InputValidationError(f"missing face {missing.args[0]} of {s}") from None
+    return facets
 
 
 def make_filtered_complex(value_by_simplex: dict, dim_cap: int) -> FilteredComplex:
     """Sort a simplex -> value map into a FilteredComplex."""
-    items = sorted(value_by_simplex.items(), key=lambda sv: (sv[1], len(sv[0]), sv[0]))
+    simplices = sorted(value_by_simplex)
+    n = len(simplices)
+    values = np.fromiter(map(value_by_simplex.__getitem__, simplices), float, n)
+    card = np.fromiter(map(len, simplices), np.intp, n)
+    order = np.lexsort((card, values)).tolist()
     return FilteredComplex(
-        simplices=tuple(s for s, _ in items),
-        values=np.array([v for _, v in items], dtype=float),
+        simplices=tuple(map(simplices.__getitem__, order)),
+        values=values[order],
         dim_cap=dim_cap,
     )
 
@@ -263,8 +277,8 @@ def _sparse_skeleton(
     matrix of the run), reads the restriction times R off the truncation
     tree, scales them by ``scale``, and expands the maximal faces of the
     sparse nerve of (Gamma, R) into the (d+1)-skeleton.  Returns the
-    truncation, R and the simplices in lexicographic order; callers assign
-    values and sort by them.
+    truncation, R and the simplices in (cardinality, vertices) order;
+    callers assign values and sort by them.
     """
     if d < 0:
         raise InputValidationError("homology dimension must be >= 0")
@@ -275,9 +289,11 @@ def _sparse_skeleton(
     # power of two is exact, so this is exactly ``scale`` times R.
     R = restriction_times(tr.tree, scale * dd.values, scale * tr.gamma.values)
     faces = maximal_faces(tr.gamma.values, R, slope_points(tr.tree, R))
-    # Lexicographic order costs one cheap sort and makes both the value pass
-    # and the sort by value faster than the set's order would.
-    return tr, R, sorted(expand_skeleton(faces, d, max_simplices))
+    # (cardinality, vertices) order puts facets before cofaces, as the snap
+    # needs, and leaves make_filtered_complex d + 2 sorted runs to merge.
+    simplices = sorted(expand_skeleton(faces, d, max_simplices))
+    simplices.sort(key=len)
+    return tr, R, simplices
 
 
 def sparse_dowker_nerve(
@@ -332,32 +348,30 @@ def ambient_cech_nerve(
     radii = np.empty(len(simplices))
     for idxs, verts in _by_cardinality(simplices):
         radii[idxs] = enclosing_radii(X, verts)
-    values = dict(zip(simplices, radii.tolist()))
-    return make_filtered_complex(_monotone_snap(values), dim_cap=d + 1)
+    snapped = _monotone_snap(simplices, radii)
+    return make_filtered_complex(dict(zip(simplices, snapped)), dim_cap=d + 1)
 
 
 def full_ambient_cech(points, d: int) -> FilteredComplex:
     """Exact ambient Cech skeleton with miniball values; small-instance oracle."""
     X = np.asarray(points, dtype=float)
-    values = {}
-    for k in range(1, d + 3):
-        for s in combinations(range(X.shape[0]), k):
-            values[s] = miniball(X[list(s)])[1]
-    return make_filtered_complex(_monotone_snap(values), dim_cap=d + 1)
+    simplices = [s for k in range(1, d + 3) for s in combinations(range(X.shape[0]), k)]
+    radii = [miniball(X[list(s)])[1] for s in simplices]
+    snapped = _monotone_snap(simplices, radii)
+    return make_filtered_complex(dict(zip(simplices, snapped)), dim_cap=d + 1)
 
 
-def _monotone_snap(values: dict) -> dict:
-    """Lift each value to the max over present faces.
+def _monotone_snap(simplices, values) -> list:
+    """Lift each value to the max over its facets, in one forward pass.
 
-    Enclosing-ball radii are monotone under inclusion in exact arithmetic;
-    this removes the epsilon-scale violations the solver can introduce.
+    Every facet must come before its cofaces in ``simplices``, as in
+    (cardinality, vertices) order.  Enclosing-ball radii are monotone under
+    inclusion in exact arithmetic; this removes the epsilon-scale violations
+    the solver can introduce.
     """
-    out = {}
-    for s in sorted(values, key=len):
-        v = values[s]
-        if len(s) > 1:
-            for face in combinations(s, len(s) - 1):
-                if face in out and out[face] > v:
-                    v = out[face]
-        out[s] = v
+    out = np.asarray(values, dtype=float).tolist()
+    for i, facets in enumerate(_facet_positions(simplices)):
+        for j in facets:
+            if out[j] > out[i]:
+                out[i] = out[j]
     return out

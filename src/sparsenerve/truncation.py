@@ -128,28 +128,22 @@ def truncation_result(
     rho = cover_matrix(lam, alpha_lam)
     fps = farthest_point_sampling(rho, initial_point)
     edges = truncation_tree(rho, fps)
-    n = lam.shape[0]
-    parent = np.arange(n)
-    children = {}
+    parent = np.arange(lam.shape[0])
     for child, par in edges:
         parent[child] = par
-        children.setdefault(par, []).append(child)
+    tree = ParentFunction(parent=parent)
+    children = tree.children()
 
     gamma = alpha_lam.copy()
-    rank = fps.rank()
-    # Decreasing insertion radius with rank as tie-break puts every parent
-    # before its child (radii are non-increasing along the insertion order);
-    # the reversed walk therefore finishes children first.
-    proc = sorted(range(n), key=lambda l: (-fps.insertion_radius[l], rank[l]))
-    for l in reversed(proc):
-        kids = children.get(l)
+    for l in tree.leaves_first():
+        kids = children[l]
         if kids:
             gamma[l] = np.minimum(gamma[l], gamma[kids].min(axis=0))
         gamma[l] = np.maximum(gamma[l], lam[l])
     return TruncationResult(
         gamma=DowkerDissimilarity(gamma),
         fps=fps,
-        tree=ParentFunction(parent=parent),
+        tree=tree,
     )
 
 

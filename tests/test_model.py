@@ -152,7 +152,6 @@ class TestParentFunction:
     def test_valid_tree(self):
         phi = ParentFunction(parent=[0, 0, 1])
         assert phi.root == 0
-        assert phi.depth.tolist() == [0, 1, 2]
 
     def test_children(self):
         phi = ParentFunction(parent=[0, 0, 0])

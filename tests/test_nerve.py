@@ -1,4 +1,5 @@
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from sparsenerve.model import (
     TranslationFunction,
 )
 from sparsenerve.nerve import (
+    _monotone_snap,
     ambient_cech_nerve,
     expand_skeleton,
     full_ambient_cech,
@@ -106,6 +108,34 @@ class TestFilteredComplex:
             {(0,): 0.0, (1,): 0.0, (0, 1): 0.0, (2,): 1.0}, dim_cap=1
         )
         assert K.simplices == ((0,), (1,), (0, 1), (2,))
+
+    def test_sort_matches_keyed_sort_oracle(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(1, 8))
+            simplices = [s for k in range(1, 5) for s in combinations(range(n), k)]
+            rng.shuffle(simplices)
+            ties = rng.choice([0.0, 1.0, 2.0, INF], size=len(simplices)).tolist()
+            value_by_simplex = dict(zip(simplices, ties))
+            K = make_filtered_complex(value_by_simplex, dim_cap=3)
+            # Oracle: an explicit (value, cardinality, vertices) sort key.
+            oracle = sorted(
+                value_by_simplex.items(), key=lambda sv: (sv[1], len(sv[0]), sv[0])
+            )
+            assert K.simplices == tuple(s for s, _ in oracle)
+            assert K.values.tolist() == [v for _, v in oracle]
+
+
+def test_monotone_snap_matches_dict_walk(rng):
+    for _ in range(20):
+        n = int(rng.integers(1, 7))
+        simplices = [s for k in range(1, 4) for s in combinations(range(n), k)]
+        values = rng.integers(0, 4, size=len(simplices)).astype(float).tolist()
+        oracle = {}
+        for s, v in zip(simplices, values):
+            for face in combinations(s, len(s) - 1) if len(s) > 1 else ():
+                v = max(v, oracle[face])
+            oracle[s] = v
+        assert _monotone_snap(simplices, values) == list(oracle.values())
 
 
 class TestSkeletonSize:

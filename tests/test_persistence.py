@@ -245,6 +245,9 @@ class TestComputePersistence:
             (((0,), (1,), (0, 1)), [1.0, 0.0, 1.0], "not sorted"),
             (((0,), (0,)), [0.0, 0.0], "duplicate"),
             (((0,), (0, 1), (1,)), [0.0, 1.0, 2.0], "not monotone"),
+            (((0,), (0, 1)), [0.0, 1.0], "missing face"),
+            (((0, 1), (0,), (1,)), [0.0, 0.0, 0.0], "not sorted"),
+            (((1,), (0,), (0, 1)), [0.0, 0.0, 0.0], "not sorted"),
         ],
     )
     def test_malformed_complex_rejected(self, simplices, values, message):
