@@ -238,13 +238,16 @@ def cmd_ph(args) -> int:
         births = [b for _, b, _ in diagram.points]
         t_max = max(finite + births + [1.0])
         line = interleaving_line(alpha, t_max)
+        # alpha is not an interleaving bound in the ambient mode (see
+        # ambient_cech_nerve), so no ambient point is marked guaranteed.
+        intrinsic = args.mode != "ambient"
         plot = {
             "points": [
                 {
                     "dim": dim,
                     "birth": b,
                     "death": None if np.isinf(d) else d,
-                    "guaranteed": bool(line.guaranteed(b, d)),
+                    "guaranteed": intrinsic and bool(line.guaranteed(b, d)),
                 }
                 for dim, b, d in diagram.points
             ],

@@ -32,6 +32,10 @@ from .model import (
 from .sparsify import restriction_times
 from .truncation import truncation_result
 
+# Cells (uint64 words or floats) of the working buffer in the chunked loops
+# of maximal_faces and filtration_values; 512 KiB stays in cache.
+_CHUNK_CELLS = 1 << 16
+
 
 @dataclass(frozen=True)
 class FilteredComplex:
@@ -157,56 +161,97 @@ def maximal_faces(gamma, R: RestrictionTimes, S: frozenset) -> list:
     R(l) <= R(l'), Gamma(l', w) <= R(l), Gamma(l', w) finite, and — if l' is
     a slope point — Gamma(l', w) strictly below R(l').  Exact duplicates and
     faces contained in another emitted face are dropped.
+
+    Each face is emitted as its membership row packed into bytes, one block
+    of witnesses per landmark.  Exact duplicates go in one ``np.unique`` over
+    those rows.  For containment, each vertex gets a bitset over the
+    distinct faces: the AND of a face's vertex bitsets marks the faces that
+    contain it, and the face is kept iff that is itself alone.  Faces come
+    back largest first, ties in order of first emission.
     """
     g = as_extended_matrix(gamma)
     times = R.times
     n = g.shape[0]
     s_mask = np.zeros(n, dtype=bool)
     s_mask[list(S)] = True
-    slope_ok = ~s_mask[:, None] | (g < times[:, None])  # (l', w)
-    finite = np.isfinite(g)
+    ok = np.isfinite(g) & (~s_mask[:, None] | (g < times[:, None]))
+    # (w, l'): Gamma where l' may join a face at w, NaN (never <=) elsewhere.
+    joins = np.where(ok, g, np.nan).T.copy()
 
-    seen = set()
-    faces = []
+    rows = []
     for l in range(n):
         rl = times[l]
-        member = (
-            (times >= rl)[:, None] & (g <= rl) & finite & slope_ok
-        )  # (l', w)
-        for w in np.nonzero(g[l] <= rl)[0]:
-            col = member[:, w]
-            key = col.tobytes()
-            if key in seen or not col.any():
-                continue
-            seen.add(key)
-            faces.append(frozenset(np.nonzero(col)[0].tolist()))
+        ws = np.flatnonzero(g[l] <= rl)
+        rows.append(np.packbits((joins[ws] <= rl) & (times >= rl), axis=1))
+    rows = np.concatenate(rows)
+    rows = rows[rows.any(axis=1)]
+    if not rows.size:
+        return []
+    keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+    _, first = np.unique(keys, return_index=True)
+    size = np.bitwise_count(rows[first]).sum(axis=1, dtype=np.intp)
+    order = np.lexsort((first, -size))
+    rows, size = rows[first[order]], size[order]
 
-    faces.sort(key=len, reverse=True)
-    kept = []
-    for f in faces:
-        if not any(f < g_ for g_ in kept):
-            kept.append(f)
-    return kept
+    # (face, vertex) pairs, read off the set bits of each nonzero byte.
+    face, byte = np.nonzero(rows)
+    hit, bit = np.nonzero(np.unpackbits(rows[face, byte][:, None], axis=1))
+    face, vertex = face[hit], 8 * byte[hit] + bit
+    n_faces = len(size)
+    verts = np.full((n_faces, size[0]), n)
+    verts[face, np.arange(face.size) - np.repeat(np.cumsum(size) - size, size)] = vertex
+    # Bit f of incidence[v] is set iff face f holds v.  Row n is all ones,
+    # so the padding in verts leaves an AND unchanged.
+    incidence = np.zeros((n + 1, -(-n_faces // 64)), np.uint64)
+    np.bitwise_or.at(
+        incidence, (vertex, face >> 6), np.uint64(1) << (face & 63).astype(np.uint64)
+    )
+    incidence[n] = ~np.uint64(0)
+
+    keep = np.empty(n_faces, dtype=bool)
+    chunk = max(1, _CHUNK_CELLS // incidence.shape[1])
+    for start in range(0, n_faces, chunk):
+        stop = min(start + chunk, n_faces)
+        # Only a larger face, so an earlier one, can contain a face; the
+        # chunk's largest face is its first.
+        words = -(-stop // 64)
+        v = verts[start:stop, : size[start]]
+        acc = incidence[v[:, 0], :words]
+        for j in range(1, v.shape[1]):
+            acc &= incidence[v[:, j], :words]
+        keep[start:stop] = np.bitwise_count(acc).sum(axis=1) == 1
+    return [frozenset(f[:k]) for f, k in zip(verts[keep].tolist(), size[keep].tolist())]
 
 
 def _by_cardinality(simplices):
     """Yield (positions, (m, k) vertex array) per cardinality k of the simplices."""
-    by_card = {}
-    for i, s in enumerate(simplices):
-        by_card.setdefault(len(s), []).append(i)
-    for idxs in by_card.values():
-        yield np.array(idxs), np.array([simplices[i] for i in idxs])
+    card = np.fromiter(map(len, simplices), np.intp, len(simplices))
+    for k in np.unique(card).tolist():
+        idxs = np.flatnonzero(card == k)
+        flat = chain.from_iterable(map(simplices.__getitem__, idxs.tolist()))
+        yield idxs, np.fromiter(flat, np.intp, k * idxs.size).reshape(-1, k)
 
 
 def filtration_values(lam, simplices) -> np.ndarray:
-    """min-max filtration values of vertex sets under Lambda, vectorized."""
+    """min-max filtration values of vertex sets under Lambda, vectorized.
+
+    For a chunk of simplices of one cardinality, takes the running maximum
+    of their vertices' Lambda rows in one (chunk, |W|) buffer, then the
+    minimum over witnesses.  max and min are exact, so the values do not
+    depend on the chunking or the vertex order.
+    """
     lam = as_extended_matrix(lam)
     values = np.empty(len(simplices))
+    chunk = max(1, _CHUNK_CELLS // max(1, lam.shape[1]))
     for idxs, verts in _by_cardinality(simplices):
-        chunk = max(1, 10_000_000 // (verts.shape[1] * lam.shape[1] + 1))
+        acc = np.empty((min(chunk, len(idxs)), lam.shape[1]))
         for start in range(0, len(idxs), chunk):
-            sl = verts[start : start + chunk]
-            values[idxs[start : start + chunk]] = lam[sl].max(axis=1).min(axis=1)
+            v = verts[start : start + chunk]
+            a = acc[: len(v)]
+            np.take(lam, v[:, 0], axis=0, out=a)
+            for j in range(1, v.shape[1]):
+                np.maximum(a, lam[v[:, j]], out=a)
+            values[idxs[start : start + chunk]] = a.min(axis=1)
     return values
 
 

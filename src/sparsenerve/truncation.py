@@ -37,12 +37,6 @@ class FarthestPointOrder:
     order: np.ndarray
     insertion_radius: np.ndarray
 
-    def rank(self) -> np.ndarray:
-        """Position of each point in the insertion order."""
-        r = np.empty(self.order.size, dtype=int)
-        r[self.order] = np.arange(self.order.size)
-        return r
-
 
 def farthest_point_sampling(rho, initial_point: int = 0) -> FarthestPointOrder:
     """Greedy farthest-point ordering driven by a cover matrix.

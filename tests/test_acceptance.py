@@ -212,19 +212,20 @@ class TestAcceptance:
         )
         ok = rc == 0 and diagram.exists() and plot.exists()
         alpha = TranslationFunction.parse("poly:0.3,1,0,0.5")
-        pdata = json.loads(plot.read_text()) if ok else {"points": []}
-        n_guaranteed = 0
-        for p in pdata["points"]:
-            d = np.inf if p["death"] is None else p["death"]
-            expect = bool(d > alpha(p["birth"]))
-            ok = ok and p["guaranteed"] == expect
-            n_guaranteed += p["guaranteed"]
-        ok = ok and len(pdata["points"]) > 0
+        empty = {"points": [], "interleaving_line": {"t": [], "alpha_t": []}}
+        pdata = json.loads(plot.read_text()) if ok else empty
+        # alpha is no bound in the ambient mode (tests/test_nerve.py keeps
+        # counterexamples), so no point may be flagged guaranteed; the plot
+        # still carries the sampled line alpha.
+        n_guaranteed = sum(p["guaranteed"] for p in pdata["points"])
+        line = pdata["interleaving_line"]
+        ok = ok and n_guaranteed == 0 and len(pdata["points"]) > 0
+        ok = ok and np.array_equal(alpha(np.array(line["t"])), line["alpha_t"])
         report(
             9,
             ok,
             f"torus workflow: {len(pdata['points'])} diagram points, "
-            f"{n_guaranteed} guaranteed, flags recomputed consistently",
+            f"{n_guaranteed} guaranteed (ambient mode), line alpha written",
         )
 
     def test_criterion_10_external_datasets_not_reproduced(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sparsenerve.cli import main
+from sparsenerve.model import TranslationFunction
 from sparsenerve.nerve import skeleton_size
 
 
@@ -80,6 +81,28 @@ class TestPh:
         assert rc == 0
         data = json.loads(stats.read_text())
         assert data["witnesses"] is None
+
+    def test_ambient_plot_marks_nothing_guaranteed(self, tmp_path, square_file):
+        # alpha bounds the intrinsic diagram only: there a point is flagged
+        # iff death > alpha(birth); in the ambient mode no point is.
+        alpha = TranslationFunction.parse("mult:1.5")
+        flags = {}
+        for mode in ("intrinsic", "ambient"):
+            plot = tmp_path / f"{mode}.json"
+            rc = main(
+                ["ph", "--input", str(square_file), "--mode", mode,
+                 "--interleaving", "mult:1.5", "--out-plot", str(plot)]
+            )
+            assert rc == 0
+            pdata = json.loads(plot.read_text())
+            assert pdata["points"] and pdata["interleaving_line"]["t"]
+            flags[mode] = []
+            for p in pdata["points"]:
+                death = np.inf if p["death"] is None else p["death"]
+                flags[mode].append((p["guaranteed"], death > alpha(p["birth"])))
+        assert all(flag == expect for flag, expect in flags["intrinsic"])
+        assert any(expect for _, expect in flags["ambient"])
+        assert not any(flag for flag, _ in flags["ambient"])
 
     def test_network_modes(self, tmp_path, graph_file):
         for mode in ("shortest-path", "raw-weight"):

@@ -1,11 +1,14 @@
 import warnings
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsenerve import nerve
+from sparsenerve.ingest import distance_matrix, sample_clifford_torus
 from sparsenerve.miniball import miniball
 from sparsenerve.model import (
     INF,
@@ -20,6 +23,7 @@ from sparsenerve.nerve import (
     _monotone_snap,
     ambient_cech_nerve,
     expand_skeleton,
+    filtration_values,
     full_ambient_cech,
     full_dowker_nerve,
     make_filtered_complex,
@@ -84,6 +88,92 @@ class TestMaximalFaces:
         )
         for f in faces:
             assert not any(f < g for g in faces if g is not f)
+
+
+def _quadratic_maximal_faces(gamma, times, S):
+    """Oracle: one emission per (l, w), then a pairwise containment filter.
+
+    Returns the faces largest first, ties in order of first emission.
+    """
+    g = np.asarray(gamma, dtype=float)
+    n = g.shape[0]
+    s_mask = np.zeros(n, dtype=bool)
+    s_mask[list(S)] = True
+    slope_ok = ~s_mask[:, None] | (g < times[:, None])
+    finite = np.isfinite(g)
+    seen = set()
+    faces = []
+    for l in range(n):
+        rl = times[l]
+        member = (times >= rl)[:, None] & (g <= rl) & finite & slope_ok
+        for w in np.nonzero(g[l] <= rl)[0]:
+            col = member[:, w]
+            key = col.tobytes()
+            if key in seen or not col.any():
+                continue
+            seen.add(key)
+            faces.append(frozenset(np.nonzero(col)[0].tolist()))
+    faces.sort(key=len, reverse=True)
+    kept = []
+    for f in faces:
+        if not any(f < g_ for g_ in kept):
+            kept.append(f)
+    return kept
+
+
+@st.composite
+def face_inputs(draw):
+    """Rectangular integer Gamma with ties and inf, restriction times, slope set."""
+    rows = draw(st.integers(1, 7))
+    cols = draw(st.integers(1, 8).filter(lambda c: c != rows))
+    entries = st.sampled_from([0.0, 1.0, 1.0, 2.0, 3.0, INF])
+    gamma = np.reshape(
+        draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols)), (rows, cols)
+    )
+    gamma[draw(st.lists(st.integers(0, rows - 1), max_size=2))] = INF
+    parent = [0] + [draw(st.integers(0, i - 1)) for i in range(1, rows)]
+    times = [INF]
+    for i in range(1, rows):
+        t = draw(st.sampled_from([0.0, 1.0, 2.0, 3.0, INF]))
+        times.append(min(t, times[parent[i]]))
+    R = RestrictionTimes(times=np.array(times), tree=ParentFunction(parent=parent))
+    S = frozenset(draw(st.sets(st.integers(0, rows - 1))))
+    return gamma, R, S
+
+
+class TestMaximalFacesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(case=face_inputs(), chunk=st.sampled_from([1, 2, 1 << 16]))
+    def test_matches_quadratic_filter(self, case, chunk):
+        gamma, R, S = case
+        with mock.patch.object(nerve, "_CHUNK_CELLS", chunk):
+            faces = maximal_faces(gamma, R, S)
+        assert faces == _quadratic_maximal_faces(gamma, R.times, S)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_every_column_empty(self, n):
+        # Only the root's infinite time admits witnesses, and no entry is finite.
+        R = RestrictionTimes(
+            times=np.array([INF] + [0.0] * (n - 1)), tree=ParentFunction(parent=[0] * n)
+        )
+        gamma = np.full((n, n + 2), INF)
+        assert _quadratic_maximal_faces(gamma, R.times, frozenset()) == []
+        assert maximal_faces(gamma, R, frozenset()) == []
+
+    @pytest.mark.parametrize("alpha", ["mult:1.5", "mult:3"])
+    def test_torus_matches_quadratic_filter(self, alpha):
+        # Hundreds of distinct faces, so the bitsets span several words; a
+        # small chunk runs the containment pass in many chunks.
+        result = sparse_dowker_nerve(
+            distance_matrix(sample_clifford_torus(120, 0)),
+            TranslationFunction.parse(alpha), 1,
+        )
+        R = result.restriction
+        S = slope_points(result.phi, R)
+        oracle = _quadratic_maximal_faces(result.gamma.values, R.times, S)
+        for chunk in (64, 1 << 16):
+            with mock.patch.object(nerve, "_CHUNK_CELLS", chunk):
+                assert maximal_faces(result.gamma.values, R, S) == oracle
 
 
 class TestFilteredComplex:
@@ -375,3 +465,30 @@ class TestPipelineProperties:
         approx = compute_persistence(result.complex, d)
         exact = compute_persistence(full_dowker_nerve(lam, d), d)
         assert diagram_interleaving_check(exact, approx, alpha).passed
+
+
+def _grouped_max_min(lam, simplices):
+    """Oracle: per cardinality, an (m, k, |W|) gather, max over k, min over W."""
+    values = np.empty(len(simplices))
+    for k in {len(s) for s in simplices}:
+        idxs = [i for i, s in enumerate(simplices) if len(s) == k]
+        sl = np.array([simplices[i] for i in idxs])
+        values[idxs] = lam[sl].max(axis=1).min(axis=1)
+    return values
+
+
+class TestFiltrationValues:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lam=tied_dowker_matrices(),
+        data=st.data(),
+        chunk=st.sampled_from([1, 3, 7, 1 << 16]),
+    )
+    def test_matches_grouped_max_min(self, lam, data, chunk):
+        vertex_sets = st.lists(
+            st.integers(0, lam.shape[0] - 1), min_size=1, max_size=4, unique=True
+        ).map(tuple)
+        simplices = data.draw(st.lists(vertex_sets, max_size=40))
+        with mock.patch.object(nerve, "_CHUNK_CELLS", chunk):
+            values = filtration_values(lam, simplices)
+        assert np.array_equal(values, _grouped_max_min(lam, simplices))

@@ -51,11 +51,6 @@ class TestFarthestPointSampling:
         with pytest.raises(InputValidationError):
             farthest_point_sampling([[0.0]], 3)
 
-    def test_rank_inverts_order(self, rng):
-        rho = cover_matrix(random_dissimilarity(rng))
-        fps = farthest_point_sampling(rho, 0)
-        assert np.all(fps.order[fps.rank()] == np.arange(rho.shape[0]))
-
 
 class TestTruncationTree:
     def test_hand_run_star(self):
@@ -89,7 +84,7 @@ class TestTruncationTree:
         for _ in range(20):
             rho = cover_matrix(random_dissimilarity(rng))
             fps = farthest_point_sampling(rho, 0)
-            rank = fps.rank()
+            rank = np.argsort(fps.order)
             for child, parent in truncation_tree(rho, fps):
                 assert rank[parent] < rank[child]
 
