@@ -17,12 +17,13 @@ from .model import INF, DowkerDissimilarity, InputValidationError
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Finite point set in Euclidean n-space."""
+    """Finite point set in Euclidean n-space, from an array or another cloud."""
 
     points: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.points, dtype=float)
+        p = self.points.points if isinstance(self.points, PointCloud) else self.points
+        p = np.asarray(p, dtype=float)
         if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
             raise InputValidationError(f"expected an (n, dim) array, got {p.shape}")
         if not np.isfinite(p).all():
@@ -45,7 +46,6 @@ class WeightedGraph:
 
     node_count: int
     edges: tuple  # (u, v, weight)
-    directed: bool = False
 
     def __post_init__(self):
         edges = []
@@ -98,7 +98,7 @@ def read_distance_matrix(path, metric: bool = True) -> DowkerDissimilarity:
     return DowkerDissimilarity(np.array([row for _, row in rows]), metric=metric)
 
 
-def read_edge_list(path, directed: bool = False) -> WeightedGraph:
+def read_edge_list(path) -> WeightedGraph:
     rows = _parse_rows(path)
     edges = []
     max_node = 0
@@ -115,7 +115,7 @@ def read_edge_list(path, directed: bool = False) -> WeightedGraph:
             raise InputValidationError(f"{path}:{lineno}: node ids must be integers")
         edges.append((int(u), int(v), w))
         max_node = max(max_node, int(u), int(v))
-    return WeightedGraph(node_count=max_node + 1, edges=tuple(edges), directed=directed)
+    return WeightedGraph(node_count=max_node + 1, edges=tuple(edges))
 
 
 def write_point_cloud(path, cloud: PointCloud):
@@ -160,9 +160,9 @@ def shortest_path_matrix(g: WeightedGraph) -> DowkerDissimilarity:
         adj = coo_matrix((w, (u, v)), shape=(n, n))
     else:
         adj = coo_matrix((n, n))
-    dm = shortest_path(adj.tocsr(), directed=g.directed)
+    dm = shortest_path(adj.tocsr(), directed=False)
     np.fill_diagonal(dm, 0.0)
-    return DowkerDissimilarity(dm, metric=not g.directed)
+    return DowkerDissimilarity(dm, metric=True)
 
 
 def raw_weight_matrix(g: WeightedGraph) -> DowkerDissimilarity:
@@ -170,9 +170,7 @@ def raw_weight_matrix(g: WeightedGraph) -> DowkerDissimilarity:
     dm = np.full((g.node_count, g.node_count), INF)
     np.fill_diagonal(dm, 0.0)
     for u, v, w in g.edges:
-        dm[u, v] = min(dm[u, v], w)
-        if not g.directed:
-            dm[v, u] = min(dm[v, u], w)
+        dm[u, v] = dm[v, u] = min(dm[u, v], w)
     return DowkerDissimilarity(dm)
 
 

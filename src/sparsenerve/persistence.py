@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.sparse.csgraph import maximum_flow
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .model import INF, InputValidationError, TranslationFunction
 from .nerve import FilteredComplex
@@ -222,7 +222,6 @@ class InterleavingReport:
     """Result of attempting an interleaving-compatible partial matching."""
 
     passed: bool
-    matching: tuple  # ((dim, approx_point, exact_point), ...)
     unmatched_required: tuple
     messages: tuple = ()
 
@@ -243,56 +242,10 @@ def _box_admissible(alpha, a, e, tol):
     return True
 
 
-def _saturating_matching(edges, n_left, n_right, req_left, req_right):
-    """Partial matching covering both required sets, via max-flow with lower bounds.
-
-    Returns the matching as a list of (left, right) pairs, or None if no
-    feasible matching exists.
-    """
-    # Vertices: source 0, sink 1, super source 2, super sink 3, then the
-    # left points and the right points.
-    src, snk, ssrc, ssnk = range(4)
-    n = 4 + n_left + n_right
-    arcs = {}
-    excess = np.zeros(n, dtype=np.int64)
-
-    def add(u, v, low, cap):
-        if cap > low:
-            arcs[u, v] = cap - low
-        excess[v] += low
-        excess[u] -= low
-
-    for i in range(n_left):
-        add(src, 4 + i, 1 if i in req_left else 0, 1)
-    for j in range(n_right):
-        add(4 + n_left + j, snk, 1 if j in req_right else 0, 1)
-    for i, j in edges:
-        add(4 + i, 4 + n_left + j, 0, 1)
-    add(snk, src, 0, len(edges) + 1)
-    need = int(excess[excess > 0].sum())
-    if need == 0:
-        return []
-    for node in np.nonzero(excess)[0]:
-        if excess[node] > 0:
-            arcs[ssrc, node] = excess[node]
-        else:
-            arcs[node, ssnk] = -excess[node]
-    rows, cols = zip(*arcs)
-    caps = np.fromiter(arcs.values(), dtype=np.int32, count=len(arcs))
-    graph = csr_array((caps, (rows, cols)), shape=(n, n))
-    result = maximum_flow(graph, ssrc, ssnk)
-    if result.flow_value < need:
-        return None
-    # Left-to-right arcs have zero lower bound, so their flow is the real flow.
-    flow = result.flow.tocoo()
-    hit = (
-        (flow.data > 0)
-        & (flow.row >= 4) & (flow.row < 4 + n_left)
-        & (flow.col >= 4 + n_left)
-    )
-    return sorted(
-        (int(r) - 4, int(c) - 4 - n_left) for r, c in zip(flow.row[hit], flow.col[hit])
-    )
+def _matches_every_row(admissible) -> bool:
+    """Does the boolean bipartite matrix have a matching covering all its rows?"""
+    rows = maximum_bipartite_matching(csr_array(admissible), perm_type="column")
+    return bool((rows >= 0).all())
 
 
 def diagram_interleaving_check(
@@ -308,34 +261,30 @@ def diagram_interleaving_check(
     lie inside each other's alpha boxes [preimage(x), alpha(x)].  For a
     multiplicative alpha this is the multiplicative bottleneck check:
     matched coordinates agree within the factor, unmatched points satisfy
-    d <= c * b.
+    d <= c * b.  By the Mendelsohn–Dulmage theorem (1958), such a matching
+    exists iff one matching covers the required approximate points and
+    another covers the required exact points, so each dimension takes two
+    maximum bipartite matchings.
     """
     dims = sorted({p[0] for p in exact.points} | {p[0] for p in approx.points})
-    all_matches = []
     unmatched = []
     messages = []
-    passed = True
     for k in dims:
         A = approx.in_dimension(k)
         E = exact.in_dimension(k)
-        req_a = {i for i, (b, d) in enumerate(A) if d > alpha(b) + tol}
-        req_e = {j for j, (b, d) in enumerate(E) if d > alpha(b) + tol}
-        edges = [
-            (i, j)
-            for i, a in enumerate(A)
-            for j, e in enumerate(E)
-            if _box_admissible(alpha, a, e, tol)
-        ]
-        matching = _saturating_matching(edges, len(A), len(E), req_a, req_e)
-        if matching is None:
-            passed = False
+        admissible = np.array(
+            [[_box_admissible(alpha, a, e, tol) for e in E] for a in A], dtype=bool
+        ).reshape(len(A), len(E))
+        req_a = np.array([d > alpha(b) + tol for b, d in A], dtype=bool)
+        req_e = np.array([d > alpha(b) + tol for b, d in E], dtype=bool)
+        if not (
+            _matches_every_row(admissible[req_a])
+            and _matches_every_row(admissible.T[req_e])
+        ):
             unmatched.append(k)
             messages.append(f"dimension {k}: no admissible saturating matching")
-            continue
-        all_matches.extend((k, A[i], E[j]) for i, j in matching)
     return InterleavingReport(
-        passed=passed,
-        matching=tuple(all_matches),
+        passed=not unmatched,
         unmatched_required=tuple(unmatched),
         messages=tuple(messages),
     )

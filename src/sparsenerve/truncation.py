@@ -1,11 +1,12 @@
 """Truncated Dowker dissimilarities via farthest-point sampling.
 
 Given Lambda and a translation function alpha, produces Gamma with
-Lambda <= Gamma <= alpha(Lambda) entrywise.  The truncation follows a
-hierarchical tree of farthest points computed from the cover matrix of
-(Lambda, alpha(Lambda)): walking the tree leaves-first, each point's row
-is minimized against its children's finished rows and clamped back up
-to Lambda, so redundancy accumulates toward the root.
+Lambda <= Gamma <= alpha(Lambda) entrywise.  Farthest-point sampling over
+the cover matrix of (Lambda, alpha(Lambda)) records, in the same loop, each
+point's parent in the hierarchical tree of farthest points.  Gamma then
+walks the insertion order backwards: each point's row, already minimized
+against its children's finished rows, is clamped back up to Lambda and
+folded into its parent's row, so redundancy accumulates toward the root.
 """
 
 from __future__ import annotations
@@ -27,22 +28,28 @@ from .model import (
 
 @dataclass(frozen=True)
 class FarthestPointOrder:
-    """Greedy insertion order over L with per-point insertion radii.
+    """Greedy insertion order over L with per-point insertion radii and parents.
 
     ``order[0]`` is the initial point; ``insertion_radius`` (indexed by
     point, not by rank) is the cover distance to the previously inserted
     set at the moment of insertion, infinite for the initial point.
+    ``parent`` (also indexed by point) is the earliest-inserted predecessor
+    realizing the insertion radius; the initial point is its own parent.
     """
 
     order: np.ndarray
     insertion_radius: np.ndarray
+    parent: np.ndarray
 
 
 def farthest_point_sampling(rho, initial_point: int = 0) -> FarthestPointOrder:
     """Greedy farthest-point ordering driven by a cover matrix.
 
     The distance of l to the inserted set is min over inserted l' of
-    rho(l, l').  Ties in the argmax break to the lowest index.
+    rho(l, l').  Ties in the argmax break to the lowest index.  A point's
+    parent moves to the newly inserted point only when its distance
+    strictly decreases, so it stays on the earliest predecessor realizing
+    the minimum (the initial point when every entry is infinite).
     """
     rho = as_extended_matrix(rho)
     n = rho.shape[0]
@@ -52,6 +59,7 @@ def farthest_point_sampling(rho, initial_point: int = 0) -> FarthestPointOrder:
         raise InputValidationError(f"initial point {initial_point} out of range")
     order = np.empty(n, dtype=int)
     radius = np.full(n, INF)
+    parent = np.full(n, initial_point)
     order[0] = initial_point
     d = rho[:, initial_point].copy()
     d[initial_point] = -INF
@@ -59,37 +67,21 @@ def farthest_point_sampling(rho, initial_point: int = 0) -> FarthestPointOrder:
         li = int(np.argmax(d))
         order[i] = li
         radius[li] = d[li]
-        d = np.minimum(d, rho[:, li])
+        # Inserted points sit at -inf, so no later column reparents them.
         d[li] = -INF
-    return FarthestPointOrder(order=order, insertion_radius=radius)
+        col = rho[:, li]
+        parent[col < d] = li
+        np.minimum(d, col, out=d)
+    return FarthestPointOrder(order=order, insertion_radius=radius, parent=parent)
 
 
-def truncation_tree(rho, fps: FarthestPointOrder) -> list:
+def truncation_tree(fps: FarthestPointOrder) -> list:
     """Edges (child, parent) of the hierarchical tree of farthest points.
 
-    For each non-initial point l, the parent is the earliest-inserted
-    predecessor l' with rho(l, l') equal to l's insertion radius; if no
-    predecessor realizes it, the earliest-inserted predecessor minimizing
-    rho(l, l') among positive entries, falling back to the initial point.
+    One edge per non-initial point, in insertion order; the parent is the
+    earliest-inserted predecessor realizing the point's insertion radius.
     """
-    rho = as_extended_matrix(rho)
-    order = fps.order
-    radius = fps.insertion_radius
-    edges = []
-    for i in range(1, order.size):
-        l = int(order[i])
-        preds = order[:i]
-        realizing = preds[rho[l, preds] == radius[l]]
-        if realizing.size:
-            psi = int(realizing[0])
-        else:
-            positive = preds[rho[l, preds] > 0]
-            if positive.size:
-                psi = int(positive[np.argmin(rho[l, positive])])
-            else:
-                psi = int(order[0])
-        edges.append((l, psi))
-    return edges
+    return [(int(l), int(fps.parent[l])) for l in fps.order[1:]]
 
 
 @dataclass(frozen=True)
@@ -108,11 +100,12 @@ def truncation_result(
 ) -> TruncationResult:
     """Run the full truncation and keep the farthest-point tree.
 
-    Gamma starts at alpha(Lambda); walking the tree leaves-first, each
-    row is minimized against its children's finished rows and then
-    maximized back up to Lambda, so each row dominates its whole subtree
-    wherever alpha(Lambda) allows.  Validates alpha on the data scale and
-    builds the cover matrix of (Lambda, alpha(Lambda)).
+    Gamma starts at alpha(Lambda); walking the insertion order backwards,
+    each row, already minimized against its children's finished rows, is
+    maximized back up to Lambda and folded into its parent's row, so each
+    row dominates its whole subtree wherever alpha(Lambda) allows.
+    Validates alpha on the data scale and builds the cover matrix of
+    (Lambda, alpha(Lambda)).
     """
     if not isinstance(dd, DowkerDissimilarity):
         dd = DowkerDissimilarity(dd)
@@ -121,19 +114,15 @@ def truncation_result(
     alpha_lam = alpha(lam)
     rho = cover_matrix(lam, alpha_lam)
     fps = farthest_point_sampling(rho, initial_point)
-    edges = truncation_tree(rho, fps)
-    parent = np.arange(lam.shape[0])
-    for child, par in edges:
-        parent[child] = par
-    tree = ParentFunction(parent=parent)
-    children = tree.children()
+    tree = ParentFunction(parent=fps.parent)
 
+    # Children are inserted after their parent, so walking the order
+    # backwards finishes every row before it is folded into its parent's.
     gamma = alpha_lam.copy()
-    for l in tree.leaves_first():
-        kids = children[l]
-        if kids:
-            gamma[l] = np.minimum(gamma[l], gamma[kids].min(axis=0))
-        gamma[l] = np.maximum(gamma[l], lam[l])
+    for l in fps.order[::-1]:
+        row = gamma[l]
+        np.maximum(row, lam[l], out=row)
+        np.minimum(gamma[fps.parent[l]], row, out=gamma[fps.parent[l]])
     return TruncationResult(
         gamma=DowkerDissimilarity(gamma),
         fps=fps,

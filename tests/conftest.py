@@ -1,8 +1,19 @@
 import numpy as np
 import pytest
 
+from sparsenerve.model import TranslationFunction
+
 
 ENTRY_POOL = np.array([0.0, 1.0, 2.0, 3.0, np.inf])
+
+# One translation function of each kind.
+EVERY_ALPHA_KIND = [
+    TranslationFunction.identity(),
+    TranslationFunction.additive(1.0),
+    TranslationFunction.multiplicative(2.0),
+    TranslationFunction.polynomial([0.3, 1.0, 0.0, 0.5]),
+    TranslationFunction.tabulated([0.0, 1.0, 3.0], [0.5, 2.0, 3.5]),
+]
 
 
 def random_dissimilarity(rng, max_side=7):

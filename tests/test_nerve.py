@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsenerve import nerve
-from sparsenerve.ingest import distance_matrix, sample_clifford_torus
+from sparsenerve.ingest import PointCloud, distance_matrix, sample_clifford_torus
 from sparsenerve.miniball import miniball
 from sparsenerve.model import (
     INF,
@@ -34,7 +34,7 @@ from sparsenerve.nerve import (
 )
 from sparsenerve.persistence import compute_persistence, diagram_interleaving_check
 
-from conftest import random_dissimilarity
+from conftest import EVERY_ALPHA_KIND, random_dissimilarity
 
 LINE3 = np.array([[0.0, 1, 3], [1, 0, 2], [3, 2, 0]])
 
@@ -337,6 +337,15 @@ class TestAmbientCech:
         )
         assert K.value_of()[(0, 1)] == pytest.approx(1.0)
 
+    def test_cloud_and_its_array_give_the_same_complex(self):
+        cloud = sample_clifford_torus(20, 9)
+        alpha = TranslationFunction.multiplicative(2)
+        K = ambient_cech_nerve(cloud, alpha, 1)
+        L = ambient_cech_nerve(np.array(cloud.points), alpha, 1)
+        assert K.simplices == L.simplices
+        np.testing.assert_array_equal(K.values, L.values)
+        np.testing.assert_array_equal(PointCloud(cloud).points, cloud.points)
+
     def test_values_are_miniball_radii(self, rng):
         X = rng.normal(size=(6, 2))
         K = ambient_cech_nerve(X, TranslationFunction.identity(), 1)
@@ -435,9 +444,7 @@ def tied_dowker_matrices(draw):
 
 
 NON_MULTIPLICATIVE = [
-    TranslationFunction.additive(1.0),
-    TranslationFunction.polynomial([0.3, 1.0, 0.0, 0.5]),
-    TranslationFunction.tabulated([0.0, 1.0, 3.0], [0.5, 2.0, 3.5]),
+    a for a in EVERY_ALPHA_KIND if a.kind not in ("identity", "multiplicative")
 ]
 
 

@@ -14,6 +14,7 @@ from sparsenerve.nerve import FilteredComplex, full_dowker_nerve, make_filtered_
 from sparsenerve.persistence import (
     PersistenceDiagram,
     _boundary_columns,
+    _box_admissible,
     _reduce_cohomology,
     _reduce_plain,
     _reduce_twist,
@@ -22,7 +23,7 @@ from sparsenerve.persistence import (
     interleaving_line,
 )
 
-from conftest import random_dissimilarity
+from conftest import EVERY_ALPHA_KIND, random_dissimilarity
 
 
 def betti_oracle(K, max_dim):
@@ -348,7 +349,61 @@ class TestInterleavingLine:
             interleaving_line(TranslationFunction.identity(), 0.0)
 
 
+def _brute_force_interleaves(A, E, alpha, tol=1e-9):
+    """Does some admissible partial matching cover every required point of A and E?"""
+    req_a = {i for i, (b, d) in enumerate(A) if d > alpha(b) + tol}
+    req_e = {j for j, (b, d) in enumerate(E) if d > alpha(b) + tol}
+
+    def extend(i, used):
+        # Match A[i:] into E minus ``used``; yields the exact points covered.
+        if i == len(A):
+            yield used
+            return
+        if i not in req_a:
+            yield from extend(i + 1, used)
+        for j, e in enumerate(E):
+            if j not in used and _box_admissible(alpha, A[i], e, tol):
+                yield from extend(i + 1, used | {j})
+
+    return any(req_e <= used for used in extend(0, frozenset()))
+
+
+@st.composite
+def small_diagram(draw, dims):
+    """At most 5 points per dimension from a coarse grid, some deaths infinite."""
+    values = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0])
+    points = []
+    for k in dims:
+        for _ in range(draw(st.integers(0, 5))):
+            b = draw(values)
+            d = draw(st.one_of(values.map(lambda v, b=b: b + v), st.just(INF)))
+            points.append((k, b, d))
+    return PersistenceDiagram(points=tuple(points))
+
+
 class TestDiagramInterleavingCheck:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        alpha=st.sampled_from(EVERY_ALPHA_KIND),
+        exact_dims=st.sets(st.integers(0, 2), max_size=3),
+        approx_dims=st.sets(st.integers(0, 2), max_size=3),
+        data=st.data(),
+    )
+    def test_matches_brute_force_matching(self, alpha, exact_dims, approx_dims, data):
+        exact = data.draw(small_diagram(sorted(exact_dims)))
+        approx = data.draw(small_diagram(sorted(approx_dims)))
+        report = diagram_interleaving_check(exact, approx, alpha)
+        failing = tuple(
+            k
+            for k in sorted(exact_dims | approx_dims)
+            if not _brute_force_interleaves(
+                approx.in_dimension(k), exact.in_dimension(k), alpha
+            )
+        )
+        assert report.unmatched_required == failing
+        assert report.passed == (not failing)
+        assert len(report.messages) == len(failing)
+
     def test_identical_diagrams_pass(self):
         dg = PersistenceDiagram(points=((0, 0.0, 1.0), (1, 0.5, 2.0)))
         alpha = TranslationFunction.identity()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsenerve.cover import cover_matrix
 from sparsenerve.model import (
@@ -15,7 +17,7 @@ from sparsenerve.truncation import (
     truncation_tree,
 )
 
-from conftest import random_dissimilarity
+from conftest import EVERY_ALPHA_KIND, random_dissimilarity
 
 LINE3 = np.array([[0.0, 1, 3], [1, 0, 2], [3, 2, 0]])
 
@@ -58,13 +60,13 @@ class TestTruncationTree:
         rho = np.array([[0.0, 1, 3], [1, 0, 2], [3, 2, 0]])
         fps = farthest_point_sampling(rho, 0)
         assert fps.order.tolist() == [0, 2, 1]
-        edges = truncation_tree(rho, fps)
+        edges = truncation_tree(fps)
         assert dict((c, p) for c, p in edges) == {2: 0, 1: 0}
 
     def test_two_points(self):
         rho = np.array([[0.0, 2.0], [1.0, 0.0]])
         fps = farthest_point_sampling(rho, 0)
-        assert truncation_tree(rho, fps) == [(1, 0)]
+        assert truncation_tree(fps) == [(1, 0)]
 
     def test_chain(self):
         # each point's radius is realized only by its immediate predecessor
@@ -78,14 +80,14 @@ class TestTruncationTree:
         )
         fps = farthest_point_sampling(rho, 0)
         assert fps.order.tolist() == [0, 1, 2, 3]
-        assert truncation_tree(rho, fps) == [(1, 0), (2, 1), (3, 2)]
+        assert truncation_tree(fps) == [(1, 0), (2, 1), (3, 2)]
 
     def test_parents_precede_children(self, rng):
         for _ in range(20):
             rho = cover_matrix(random_dissimilarity(rng))
             fps = farthest_point_sampling(rho, 0)
             rank = np.argsort(fps.order)
-            for child, parent in truncation_tree(rho, fps):
+            for child, parent in truncation_tree(fps):
                 assert rank[parent] < rank[child]
 
 
@@ -141,3 +143,61 @@ class TestTruncate:
         a = truncate(DowkerDissimilarity(lam), alpha).values
         b = truncate(DowkerDissimilarity(lam), alpha).values
         np.testing.assert_array_equal(a, b)
+
+
+@st.composite
+def tied_rectangular_matrices(draw):
+    """Rectangular integer-valued Lambda with heavy ties, inf entries and all-inf rows."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    entries = st.sampled_from([0.0, 1.0, 1.0, 2.0, 3.0, INF])
+    lam = np.reshape(
+        draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols)), (rows, cols)
+    )
+    lam[draw(st.lists(st.integers(0, rows - 1), max_size=2))] = INF
+    return lam
+
+
+def _children_walk_gamma(lam, alpha_lam, tree):
+    """Gamma by a leaves-first walk over child lists; the oracle for the order walk."""
+    children = tree.children()
+    gamma = alpha_lam.copy()
+    for l in tree.leaves_first():
+        kids = children[l]
+        if kids:
+            gamma[l] = np.minimum(gamma[l], gamma[kids].min(axis=0))
+        gamma[l] = np.maximum(gamma[l], lam[l])
+    return gamma
+
+
+class TestTreeFromSampling:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lam=tied_rectangular_matrices(),
+        alpha=st.sampled_from(EVERY_ALPHA_KIND),
+        data=st.data(),
+    )
+    def test_matches_brute_force_rule(self, lam, alpha, data):
+        start = data.draw(st.integers(0, lam.shape[0] - 1))
+        tr = truncation_result(DowkerDissimilarity(lam), alpha, start)
+        rho = cover_matrix(lam, alpha(lam))
+        order, radius = tr.fps.order, tr.fps.insertion_radius
+        assert order[0] == start and np.isinf(radius[start])
+        expected = np.full(lam.shape[0], start)
+        for i in range(1, order.size):
+            l, preds = order[i], order[:i]
+            # Greedy: l is the lowest-index point farthest from the inserted set.
+            rest = np.setdiff1d(np.arange(lam.shape[0]), preds)
+            dist = rho[np.ix_(rest, preds)].min(axis=1)
+            assert l == rest[np.argmax(dist)] and radius[l] == dist.max()
+            # Parent: the earliest-inserted predecessor realizing the radius.
+            expected[l] = preds[rho[l, preds] == radius[l]][0]
+        np.testing.assert_array_equal(tr.tree.parent, expected)
+        assert truncation_tree(tr.fps) == [(int(l), int(expected[l])) for l in order[1:]]
+        np.testing.assert_array_equal(
+            tr.gamma.values, _children_walk_gamma(lam, alpha(lam), tr.tree)
+        )
+
+    def test_all_infinite_cover_parents_on_initial_point(self):
+        fps = farthest_point_sampling(np.full((4, 4), INF), 2)
+        assert fps.order.tolist() == [2, 0, 1, 3]
+        assert fps.parent.tolist() == [2, 2, 2, 2]
