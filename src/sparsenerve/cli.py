@@ -185,6 +185,8 @@ def cmd_ph(args) -> int:
         args.dim = _env_int("dim", 1)
     if args.max_simplices is None:
         args.max_simplices = _env_int("max-simplices", DEFAULT_MAX_SIMPLICES)
+    if args.seed is not None and args.seed < 0:
+        raise InputValidationError(f"seed must be >= 0, got {args.seed}")
     timings = {}
     start = time.perf_counter()
     alpha = TranslationFunction.parse(args.interleaving)

@@ -1,11 +1,15 @@
 """Cover matrix of one or two Dowker dissimilarities.
 
-For dissimilarities Lambda1, Lambda2 on the same L x W, the cover matrix is
+For dissimilarities Lambda1 on L1 x W and Lambda2 on L2 x W over the same
+witnesses, the cover matrix is
 
     rho(l, l') = sup { Lambda1(l', w) : w in W, Lambda2(l, w) < Lambda1(l', w) }
 
-with rho(l, l') = 0 when the set is empty.  The single-argument form uses
-Lambda1 = Lambda2.  Runs in O(|L|^2 * |W|), vectorized over rows.
+for l in L2 and l' in L1, with rho(l, l') = 0 when the set is empty.  The
+single-argument form uses Lambda1 = Lambda2.  Runs in O(|L1| * |L2| * |W|),
+one column per row of Lambda1.  The pipeline never builds the full square
+matrix: farthest-point sampling asks for one column at a time, restricted to
+the rows whose entry could still matter.
 """
 
 from __future__ import annotations
@@ -16,23 +20,21 @@ from .model import InputValidationError, as_extended_matrix
 
 
 def cover_matrix(lambda1, lambda2=None) -> np.ndarray:
-    """Return the |L| x |L| cover matrix of one or two dissimilarities.
+    """Return the |L2| x |L1| cover matrix of one or two dissimilarities.
 
     ``lambda1``/``lambda2`` may be ``DowkerDissimilarity`` instances or bare
-    matrices; both must have the same shape.  Entry (l, l') is the largest
-    value Lambda1(l', w) over witnesses w where Lambda2(l, w) < Lambda1(l', w),
-    or 0 if no witness qualifies.
+    matrices over the same witnesses; their row counts may differ.  Entry
+    (l, l') is the largest value Lambda1(l', w) over witnesses w where
+    Lambda2(l, w) < Lambda1(l', w), or 0 if no witness qualifies.
     """
     a1 = as_extended_matrix(lambda1)
     a2 = a1 if lambda2 is None else as_extended_matrix(lambda2)
-    if a1.shape != a2.shape:
+    if a1.shape[1:] != a2.shape[1:]:
         raise InputValidationError(
-            f"shape mismatch: {a1.shape} vs {a2.shape}"
+            f"witness mismatch: {a1.shape} vs {a2.shape}"
         )
-    n = a1.shape[0]
-    rho = np.zeros((n, n))
-    for l in range(n):
+    rho = np.zeros((a2.shape[0], a1.shape[0]))
+    for lp, row in enumerate(a1):
         # Masked values are > Lambda2(l, w) >= 0, so 0 is a safe empty-set fill.
-        qualifying = np.where(a2[l][None, :] < a1, a1, 0.0)
-        rho[l] = qualifying.max(axis=1)
+        rho[:, lp] = np.where(a2 < row, row, 0.0).max(axis=1)
     return rho

@@ -318,10 +318,10 @@ def _sparse_skeleton(
 ):
     """The pipeline both entry points share, up to filtration values.
 
-    Truncates Lambda to Gamma (validating alpha and building the one cover
-    matrix of the run), reads the restriction times R off the truncation
-    tree, scales them by ``scale``, and expands the maximal faces of the
-    sparse nerve of (Gamma, R) into the (d+1)-skeleton.  Returns the
+    Truncates Lambda to Gamma (validating alpha; farthest-point sampling
+    computes only the cover entries it needs), reads the restriction times R
+    off the truncation tree, scales them by ``scale``, and expands the
+    maximal faces of the sparse nerve of (Gamma, R) into the (d+1)-skeleton.  Returns the
     truncation, R and the simplices in (cardinality, vertices) order;
     callers assign values and sort by them.
     """
@@ -350,9 +350,10 @@ def sparse_dowker_nerve(
 ) -> SparseNerveResult:
     """Full pipeline: truncate, restrict along the truncation tree, extract the nerve.
 
-    The cover matrix of (Lambda, alpha(Lambda)) drives the farthest-point
-    truncation; each point's restriction time is read off Lambda and Gamma
-    at its parent in the truncation tree.  Using the tree that shaped Gamma
+    Farthest-point sampling under the cover matrix of (Lambda,
+    alpha(Lambda)), computed only where an entry can lower a point's
+    distance, drives the truncation; each point's restriction time is read
+    off Lambda and Gamma at its parent in the truncation tree.  Using the tree that shaped Gamma
     keeps every point covered by its parent at its restriction time: the
     parent row was minimized against the child's.  Simplices get min-max
     values from Lambda.

@@ -1,9 +1,11 @@
 """Truncated Dowker dissimilarities via farthest-point sampling.
 
 Given Lambda and a translation function alpha, produces Gamma with
-Lambda <= Gamma <= alpha(Lambda) entrywise.  Farthest-point sampling over
-the cover matrix of (Lambda, alpha(Lambda)) records, in the same loop, each
-point's parent in the hierarchical tree of farthest points.  Gamma then
+Lambda <= Gamma <= alpha(Lambda) entrywise.  Farthest-point sampling under
+the cover matrix of (Lambda, alpha(Lambda)) computes only the entries that
+a lower bound cannot rule out, one column per inserted point, and records
+in the same loop each point's parent in the hierarchical tree of farthest
+points; the full |L| x |L| matrix is never built.  Gamma then
 walks the insertion order backwards: each point's row, already minimized
 against its children's finished rows, is clamped back up to Lambda and
 folded into its parent's row, so redundancy accumulates toward the root.
@@ -42,36 +44,61 @@ class FarthestPointOrder:
     parent: np.ndarray
 
 
-def farthest_point_sampling(rho, initial_point: int = 0) -> FarthestPointOrder:
-    """Greedy farthest-point ordering driven by a cover matrix.
+def farthest_point_sampling(
+    lam, alpha_lam, initial_point: int = 0
+) -> FarthestPointOrder:
+    """Greedy farthest-point ordering under the cover matrix rho of
+    (Lambda, alpha(Lambda)), given as ``lam`` and ``alpha_lam`` on one L x W.
 
-    The distance of l to the inserted set is min over inserted l' of
+    The distance d(l) of l to the inserted set is min over inserted l' of
     rho(l, l').  Ties in the argmax break to the lowest index.  A point's
     parent moves to the newly inserted point only when its distance
     strictly decreases, so it stays on the earliest predecessor realizing
     the minimum (the initial point when every entry is infinite).
+
+    Cover entries are computed only where they could lower d(l).  Each l
+    has a home witness h(l) minimizing alpha(Lambda)(l, .), with reach
+    r(l) = alpha(Lambda)(l, h(l)).  When l' is inserted, h(l) qualifies in
+    the supremum defining rho(l, l') whenever r(l) < Lambda(l', h(l)), so
+    rho(l, l') >= Lambda(l', h(l)) then and >= 0 always.  A point whose
+    bound already reaches d(l) keeps its distance and its parent, so only
+    the other points get their entry computed.
     """
-    rho = as_extended_matrix(rho)
-    n = rho.shape[0]
+    lam = as_extended_matrix(lam)
+    alpha_lam = as_extended_matrix(alpha_lam)
+    if lam.shape != alpha_lam.shape:
+        raise InputValidationError(
+            f"shape mismatch: {lam.shape} vs {alpha_lam.shape}"
+        )
+    n = lam.shape[0]
     if n == 0:
         raise InputValidationError("empty index set")
     if not (0 <= initial_point < n):
         raise InputValidationError(f"initial point {initial_point} out of range")
+    home = np.argmin(alpha_lam, axis=1)
+    reach = alpha_lam[np.arange(n), home]
     order = np.empty(n, dtype=int)
     radius = np.full(n, INF)
     parent = np.full(n, initial_point)
     order[0] = initial_point
-    d = rho[:, initial_point].copy()
+    d = cover_matrix(lam[initial_point : initial_point + 1], alpha_lam)[:, 0]
     d[initial_point] = -INF
     for i in range(1, n):
         li = int(np.argmax(d))
         order[i] = li
         radius[li] = d[li]
-        # Inserted points sit at -inf, so no later column reparents them.
+        # Inserted points sit at -inf, below every bound, so they are never
+        # candidates again.
         d[li] = -INF
-        col = rho[:, li]
-        parent[col < d] = li
-        np.minimum(d, col, out=d)
+        far = lam[li, home]
+        bound = np.where(reach < far, far, 0.0)
+        cand = np.flatnonzero(bound < d)
+        if cand.size == 0:
+            continue
+        col = cover_matrix(lam[li : li + 1], alpha_lam[cand])[:, 0]
+        near = d[cand]
+        parent[cand[col < near]] = li
+        d[cand] = np.minimum(near, col)
     return FarthestPointOrder(order=order, insertion_radius=radius, parent=parent)
 
 
@@ -104,16 +131,15 @@ def truncation_result(
     each row, already minimized against its children's finished rows, is
     maximized back up to Lambda and folded into its parent's row, so each
     row dominates its whole subtree wherever alpha(Lambda) allows.
-    Validates alpha on the data scale and builds the cover matrix of
-    (Lambda, alpha(Lambda)).
+    Validates alpha on the data scale; farthest-point sampling computes
+    only the cover entries of (Lambda, alpha(Lambda)) it needs.
     """
     if not isinstance(dd, DowkerDissimilarity):
         dd = DowkerDissimilarity(dd)
     lam = dd.values
     alpha.validate_on(2.0 * dd.max_finite)
     alpha_lam = alpha(lam)
-    rho = cover_matrix(lam, alpha_lam)
-    fps = farthest_point_sampling(rho, initial_point)
+    fps = farthest_point_sampling(lam, alpha_lam, initial_point)
     tree = ParentFunction(parent=fps.parent)
 
     # Children are inserted after their parent, so walking the order

@@ -161,6 +161,13 @@ class TestPh:
     def test_seed_picks_valid_initial_point(self, square_file):
         assert main(["ph", "--input", str(square_file), "--seed", "11"]) == 0
 
+    def test_negative_seed_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        path.write_text("0 1 2\n1 0 1\n2 1 0\n")
+        argv = ["ph", "--format", "matrix", "--input", str(path), "--seed", "-3"]
+        assert main(argv) == 1
+        assert "error: seed must be >= 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("spec", ["mult:abc", "add:inf", "mult:nan", "poly:0.3,inf"])
     def test_bad_interleaving_exit_1(self, square_file, capsys, spec):
         rc = main(["ph", "--input", str(square_file), "--interleaving", spec])

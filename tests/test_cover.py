@@ -6,17 +6,18 @@ from hypothesis import strategies as st
 from sparsenerve.cover import cover_matrix
 from sparsenerve.model import INF, InputValidationError
 
-from conftest import random_dissimilarity
+from conftest import ENTRY_POOL, random_dissimilarity
 
 
 def cover_matrix_oracle(lam1, lam2):
-    """Triple-loop transcription of the sup-set definition."""
+    """Triple-loop transcription of the sup-set definition: rows of lam2
+    against rows of lam1."""
     lam1 = np.asarray(lam1, float)
     lam2 = np.asarray(lam2, float)
-    n, m = lam1.shape
-    rho = np.zeros((n, n))
-    for l in range(n):
-        for lp in range(n):
+    m = lam1.shape[1]
+    rho = np.zeros((lam2.shape[0], lam1.shape[0]))
+    for l in range(lam2.shape[0]):
+        for lp in range(lam1.shape[0]):
             vals = [lam1[lp, w] for w in range(m) if lam2[l, w] < lam1[lp, w]]
             rho[l, lp] = max(vals) if vals else 0.0
     return rho
@@ -62,6 +63,26 @@ class TestCoverMatrix:
             np.testing.assert_array_equal(
                 cover_matrix(lam1), cover_matrix_oracle(lam1, lam1)
             )
+            # Row sets of different sizes over the same witnesses.
+            lam3 = rng.choice(ENTRY_POOL, size=(int(rng.integers(1, 9)), lam1.shape[1]))
+            rho = cover_matrix(lam1, lam3)
+            assert rho.shape == (lam3.shape[0], lam1.shape[0])
+            np.testing.assert_array_equal(rho, cover_matrix_oracle(lam1, lam3))
+
+    def test_row_subsets_are_blocks(self, rng):
+        for _ in range(30):
+            l1 = random_dissimilarity(rng)
+            l2 = rng.choice(ENTRY_POOL, size=l1.shape)
+            n = l1.shape[0]
+            a = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+            b = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+            np.testing.assert_array_equal(
+                cover_matrix(l1[a], l2[b]), cover_matrix(l1, l2)[np.ix_(b, a)]
+            )
+
+    def test_zero_rows_in_second_argument(self):
+        rho = cover_matrix(np.zeros((3, 4)), np.zeros((0, 4)))
+        assert rho.shape == (0, 3)
 
 
 @st.composite

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsenerve import truncation
 from sparsenerve.cover import cover_matrix
+from sparsenerve.ingest import distance_matrix, sample_clifford_torus
 from sparsenerve.model import (
     INF,
     DowkerDissimilarity,
@@ -19,73 +21,146 @@ from sparsenerve.truncation import (
 
 from conftest import EVERY_ALPHA_KIND, random_dissimilarity
 
+
+@st.composite
+def tied_rectangular_matrices(draw):
+    """Rectangular integer-valued Lambda with heavy ties, inf entries and all-inf rows."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    entries = st.sampled_from([0.0, 1.0, 1.0, 2.0, 3.0, INF])
+    lam = np.reshape(
+        draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols)), (rows, cols)
+    )
+    lam[draw(st.lists(st.integers(0, rows - 1), max_size=2))] = INF
+    return lam
+
+
 LINE3 = np.array([[0.0, 1, 3], [1, 0, 2], [3, 2, 0]])
+
+
+def line_metric(xs):
+    """Distance matrix of points on the real line."""
+    xs = np.asarray(xs, float)
+    return np.abs(xs[:, None] - xs[None, :])
+
+
+def dense_farthest_point_sampling(rho, start):
+    """Greedy farthest-point sampling over a full cover matrix; the oracle
+    for the lazy sampler, which computes only the entries it needs."""
+    n = rho.shape[0]
+    order = np.empty(n, dtype=int)
+    radius = np.full(n, INF)
+    parent = np.full(n, start)
+    order[0] = start
+    d = rho[:, start].copy()
+    d[start] = -INF
+    for i in range(1, n):
+        li = int(np.argmax(d))
+        order[i] = li
+        radius[li] = d[li]
+        d[li] = -INF
+        col = rho[:, li]
+        parent[col < d] = li
+        np.minimum(d, col, out=d)
+    return order, radius, parent
 
 
 class TestFarthestPointSampling:
     def test_hand_run(self):
-        rho = np.array([[0.0, 1, 3], [3, 0, 3], [3, 2, 0]])
-        fps = farthest_point_sampling(rho, 0)
+        # cover_matrix(LINE3) = [[0, 1, 3], [3, 0, 3], [3, 2, 0]]
+        fps = farthest_point_sampling(LINE3, LINE3, 0)
         assert fps.order.tolist() == [0, 1, 2]
         assert fps.insertion_radius.tolist() == [INF, 3.0, 2.0]
 
     def test_single_point(self):
-        fps = farthest_point_sampling([[0.0]], 0)
+        fps = farthest_point_sampling([[0.0]], [[0.0]], 0)
         assert fps.order.tolist() == [0]
         assert np.isinf(fps.insertion_radius[0])
 
     def test_constant_offdiagonal_gives_index_order(self):
-        rho = np.full((5, 5), 2.0)
-        np.fill_diagonal(rho, 0.0)
-        fps = farthest_point_sampling(rho, 0)
+        # Each point witnesses itself at 0 against 2 elsewhere, so every
+        # off-diagonal cover entry is 2.
+        lam = np.full((5, 5), 2.0)
+        np.fill_diagonal(lam, 0.0)
+        fps = farthest_point_sampling(lam, lam, 0)
         assert fps.order.tolist() == [0, 1, 2, 3, 4]
         assert fps.insertion_radius[1:].tolist() == [2.0] * 4
 
     def test_radii_non_increasing_along_order(self, rng):
         for _ in range(20):
             lam = random_dissimilarity(rng)
-            rho = cover_matrix(lam)
-            fps = farthest_point_sampling(rho, 0)
+            fps = farthest_point_sampling(lam, lam, 0)
             radii = fps.insertion_radius[fps.order[1:]]
             assert all(a >= b for a, b in zip(radii, radii[1:]))
 
     def test_bad_initial_point(self):
         with pytest.raises(InputValidationError):
-            farthest_point_sampling([[0.0]], 3)
+            farthest_point_sampling([[0.0]], [[0.0]], 3)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(InputValidationError):
+            farthest_point_sampling(np.zeros((2, 3)), np.zeros((3, 3)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lam=tied_rectangular_matrices(),
+        alpha=st.sampled_from(EVERY_ALPHA_KIND),
+        data=st.data(),
+    )
+    def test_lazy_matches_dense(self, lam, alpha, data):
+        start = data.draw(st.integers(0, lam.shape[0] - 1))
+        alpha_lam = alpha(lam)
+        fps = farthest_point_sampling(lam, alpha_lam, start)
+        order, radius, parent = dense_farthest_point_sampling(
+            cover_matrix(lam, alpha_lam), start
+        )
+        np.testing.assert_array_equal(fps.order, order)
+        np.testing.assert_array_equal(fps.insertion_radius, radius)
+        np.testing.assert_array_equal(fps.parent, parent)
+
+    def test_computes_few_cover_entries(self, monkeypatch):
+        # Skipping an entry never changes the result, so only a count
+        # shows whether the lower bound still prunes.
+        lam = distance_matrix(sample_clifford_torus(300, 0)).values
+        computed = []
+
+        def counting_cover_matrix(*args):
+            rho = cover_matrix(*args)
+            computed.append(rho.size)
+            return rho
+
+        monkeypatch.setattr(truncation, "cover_matrix", counting_cover_matrix)
+        farthest_point_sampling(lam, TranslationFunction.multiplicative(1.5)(lam))
+        assert sum(computed) < 0.1 * lam.shape[0] ** 2
 
 
 class TestTruncationTree:
     def test_hand_run_star(self):
-        # insertion order [0, 2, 1]: both later points realize their radius at 0
-        rho = np.array([[0.0, 1, 3], [1, 0, 2], [3, 2, 0]])
-        fps = farthest_point_sampling(rho, 0)
+        # Points 0, 1, -3 on a line: insertion order [0, 2, 1], and both
+        # later points realize their radius at 0.
+        lam = line_metric([0, 1, -3])
+        fps = farthest_point_sampling(lam, lam, 0)
         assert fps.order.tolist() == [0, 2, 1]
         edges = truncation_tree(fps)
         assert dict((c, p) for c, p in edges) == {2: 0, 1: 0}
 
     def test_two_points(self):
-        rho = np.array([[0.0, 2.0], [1.0, 0.0]])
-        fps = farthest_point_sampling(rho, 0)
+        lam = line_metric([0, 1])
+        fps = farthest_point_sampling(lam, lam, 0)
         assert truncation_tree(fps) == [(1, 0)]
 
     def test_chain(self):
-        # each point's radius is realized only by its immediate predecessor
-        rho = np.array(
-            [
-                [0.0, 9, 9, 9],
-                [8.0, 0, 9, 9],
-                [5.0, 4.5, 0, 9],
-                [4.0, 9, 3, 0],
-            ]
-        )
-        fps = farthest_point_sampling(rho, 0)
+        # Points 0, 8, 9, 10 on a line: each point's radius is realized only
+        # by its immediate predecessor (radii 10, 2, 1).
+        lam = line_metric([0, 8, 9, 10])
+        fps = farthest_point_sampling(lam, lam, 0)
         assert fps.order.tolist() == [0, 1, 2, 3]
+        assert fps.insertion_radius[1:].tolist() == [10.0, 2.0, 1.0]
         assert truncation_tree(fps) == [(1, 0), (2, 1), (3, 2)]
 
     def test_parents_precede_children(self, rng):
         for _ in range(20):
-            rho = cover_matrix(random_dissimilarity(rng))
-            fps = farthest_point_sampling(rho, 0)
+            lam = random_dissimilarity(rng)
+            fps = farthest_point_sampling(lam, lam, 0)
             rank = np.argsort(fps.order)
             for child, parent in truncation_tree(fps):
                 assert rank[parent] < rank[child]
@@ -145,18 +220,6 @@ class TestTruncate:
         np.testing.assert_array_equal(a, b)
 
 
-@st.composite
-def tied_rectangular_matrices(draw):
-    """Rectangular integer-valued Lambda with heavy ties, inf entries and all-inf rows."""
-    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
-    entries = st.sampled_from([0.0, 1.0, 1.0, 2.0, 3.0, INF])
-    lam = np.reshape(
-        draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols)), (rows, cols)
-    )
-    lam[draw(st.lists(st.integers(0, rows - 1), max_size=2))] = INF
-    return lam
-
-
 def _children_walk_gamma(lam, alpha_lam, tree):
     """Gamma by a leaves-first walk over child lists; the oracle for the order walk."""
     children = tree.children()
@@ -198,6 +261,10 @@ class TestTreeFromSampling:
         )
 
     def test_all_infinite_cover_parents_on_initial_point(self):
-        fps = farthest_point_sampling(np.full((4, 4), INF), 2)
+        # Each point witnesses itself at 0 against inf elsewhere, so every
+        # off-diagonal cover entry is inf.
+        lam = np.full((4, 4), INF)
+        np.fill_diagonal(lam, 0.0)
+        fps = farthest_point_sampling(lam, lam, 2)
         assert fps.order.tolist() == [2, 0, 1, 3]
         assert fps.parent.tolist() == [2, 2, 2, 2]
