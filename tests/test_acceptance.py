@@ -179,17 +179,16 @@ class TestAcceptance:
         small = rng.uniform(0, 10, size=(300, 300))
         big = rng.uniform(0, 10, size=(600, 300))
 
-        def best_of_three(lam):
-            times = []
-            for _ in range(3):
-                start = time.perf_counter()
-                cover_matrix(lam)
-                times.append(time.perf_counter() - start)
-            return min(times)
+        def timed(lam):
+            start = time.perf_counter()
+            cover_matrix(lam)
+            return time.perf_counter() - start
 
-        t_small = best_of_three(small)
-        t_big = best_of_three(big)
-        ratio = t_big / t_small
+        # Interleaved pairs see the same host load; the median ratio over
+        # seven of them does not hang on one noisy sample.
+        pairs = [(timed(small), timed(big)) for _ in range(7)]
+        t_small = float(np.median([s for s, _ in pairs]))
+        ratio = float(np.median([b / s for s, b in pairs]))
         ok = t_small < 5.0 and ratio <= 5.0
         report(8, ok, f"cover 300x300 {t_small:.3f}s, doubling |L| ratio {ratio:.2f}x (limit 5x)")
 

@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsenerve.ingest import generate_graph, shortest_path_matrix
+from sparsenerve.ingest import (
+    PointCloud,
+    distance_matrix,
+    generate_graph,
+    shortest_path_matrix,
+)
 from sparsenerve.model import (
     INF,
     DowkerDissimilarity,
@@ -16,7 +21,6 @@ from sparsenerve.persistence import (
     _boundary_columns,
     _box_admissible,
     _reduce_cohomology,
-    _reduce_plain,
     _reduce_twist,
     compute_persistence,
     diagram_interleaving_check,
@@ -193,6 +197,31 @@ def _null_space_mod2(columns, labels):
     return null
 
 
+def _reduce_plain(cols, dims):
+    """Textbook left-to-right reduction; a test oracle for the other reducers."""
+    n = len(cols)
+    pivot = {}
+    reduced = {}
+    zeroed = []
+    for j in range(n):
+        col = set(cols[j])
+        while col:
+            low = max(col)
+            other = pivot.get(low)
+            if other is None:
+                break
+            col ^= reduced[other]
+        if col:
+            pivot[max(col)] = j
+            reduced[j] = col
+        else:
+            zeroed.append(j)
+    pairs = sorted((low, j) for low, j in pivot.items())
+    paired_births = set(pivot.keys())
+    essential = [j for j in zeroed if j not in paired_births]
+    return pairs, essential
+
+
 class TestComputePersistence:
     def test_single_vertex(self):
         K = make_filtered_complex({(0,): 0.0}, dim_cap=0)
@@ -308,6 +337,39 @@ def split_dowker_matrices(draw):
     return lam, blocks
 
 
+@st.composite
+def integer_clouds(draw):
+    """6-11 points in R^2 or R^3 on a small integer grid, so distances tie."""
+    n = draw(st.integers(6, 11))
+    dim = draw(st.sampled_from([2, 3]))
+    coords = draw(st.lists(st.integers(0, 3), min_size=n * dim, max_size=n * dim))
+    return np.reshape(coords, (n, dim)).astype(float)
+
+
+def _columns_with_additions(cols, dims, pairs, max_dim):
+    """How many coboundary columns ``_reduce_cohomology`` reduced by addition.
+
+    A column in dimension 1..max_dim that was not cleared (it is no death)
+    and has a coface needs an addition iff it is not paired with its
+    earliest coface: an addition cancels that coface, and the pivots added
+    after it are all later.
+    """
+    deaths = {d for _, d in pairs}
+    earliest = {}
+    for t, k in enumerate(dims):
+        if 2 <= k <= max_dim + 1:
+            for f in cols[t]:
+                earliest.setdefault(f, t)
+    return sum(
+        1
+        for i, k in enumerate(dims)
+        if 1 <= k <= max_dim
+        and i not in deaths
+        and i in earliest
+        and (i, earliest[i]) not in pairs
+    )
+
+
 class TestReduceCohomology:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -325,6 +387,25 @@ class TestReduceCohomology:
         assert pairs == [p for p in plain_pairs if dims[p[0]] <= top]
         assert essential == [i for i in plain_essential if dims[i] <= top]
         assert sum(1 for i in essential if dims[i] == 0) >= blocks
+
+    def test_fill_in_matches_plain_reduction(self):
+        # The split matrices above have blocks of at most 3x3, whose columns
+        # hardly ever need an addition; full nerves of clouds fill in.
+        additions = []
+
+        @settings(max_examples=60, deadline=None)
+        @given(points=integer_clouds())
+        def check(points):
+            K = full_dowker_nerve(distance_matrix(PointCloud(points)).values, 2)
+            cols, dims = _boundary_columns(K)
+            pairs, essential = _reduce_cohomology(cols, dims, 2)
+            plain_pairs, plain_essential = _reduce_plain(cols, dims)
+            assert pairs == [p for p in plain_pairs if dims[p[0]] <= 2]
+            assert essential == [i for i in plain_essential if dims[i] <= 2]
+            additions.append(_columns_with_additions(cols, dims, set(pairs), 2))
+
+        check()
+        assert max(additions) > 0
 
 
 class TestInterleavingLine:
