@@ -6,14 +6,18 @@ into a (d+1)-skeleton.  The intrinsic and the ambient mode share that
 pipeline and differ only in the filtration values: min-max values from the
 original Lambda, v(sigma) = min over w of max over l in sigma of
 Lambda(l, w), or smallest-enclosing-ball radii of the points.
+
+Simplices are stored as integer arrays, one per cardinality k: an (m, k)
+array of strictly increasing vertex rows.  A row is looked up by its
+colexicographic index sum_j C(v_j, j + 1) in the combinatorial number
+system, as in Bauer's Ripser (J. Appl. Comput. Topol. 5, 2021).
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from itertools import chain, combinations
+from functools import cached_property
 
 import numpy as np
 
@@ -36,27 +40,183 @@ from .truncation import truncation_result
 # of maximal_faces and filtration_values; 512 KiB stays in cache.
 _CHUNK_CELLS = 1 << 16
 
+# Subsets per block of expand_skeleton's deduplication: each block's keys
+# are sorted and deduplicated on their own, so the copies of a subset that
+# many faces share never exist all at once.
+_BLOCK_KEYS = 1 << 16
+
+
+def _wide(n: int, k: int) -> bool:
+    """Can colex keys of k-subsets of range(n), or their terms, reach 2**63?"""
+    return math.comb(n, min(k, n // 2)) >= 1 << 63
+
+
+def _binomials(n: int, k: int) -> np.ndarray:
+    """(k + 1, n) int64 table of C(v, i) for i <= k and v < n; not ``_wide``."""
+    table = np.zeros((k + 1, n), np.int64)
+    table[0] = 1
+    for i in range(1, k + 1):
+        # C(v, i) = sum over u < v of C(u, i - 1).
+        np.cumsum(table[i - 1, :-1], out=table[i, 1:])
+    return table
+
+
+def _keys(rows: np.ndarray, n: int) -> np.ndarray:
+    """Sort keys of (m, k) strictly increasing rows over range(n): equal iff the rows are.
+
+    The colex index sum_j C(v_j, j + 1) as int64 while every k-subset of
+    range(n) has one below 2**63; otherwise each row as k big-endian int64
+    in one void scalar, whose bytes compare as the rows do, lexicographically.
+    """
+    k = rows.shape[1]
+    if _wide(n, k):
+        rows = np.ascontiguousarray(rows, dtype=">i8")
+        return rows.view(np.dtype((np.void, 8 * k))).reshape(-1)
+    table = _binomials(n, k)
+    keys = table[1][rows[:, 0]]
+    for j in range(1, k):
+        keys += table[j + 1][rows[:, j]]
+    return keys
+
+
+def _rows(keys: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Invert ``_keys``: the (m, k) int64 vertex rows of keys over range(n)."""
+    if keys.dtype.kind == "V":
+        return keys.view(">i8").reshape(-1, k).astype(np.int64)
+    table = _binomials(n, k)
+    rows = np.empty((len(keys), k), np.int64)
+    rest = keys.copy()
+    for j in range(k - 1, -1, -1):
+        # The largest v with C(v, j + 1) <= rest; the table is nondecreasing in v.
+        rows[:, j] = np.searchsorted(table[j + 1], rest, side="right") - 1
+        rest -= table[j + 1][rows[:, j]]
+    return rows
+
+
+def _sorted_unique(keys: np.ndarray, kind=None) -> np.ndarray:
+    """Sorted keys without repeats, by a sort (numpy's hashing unique is slower here).
+
+    ``kind="stable"`` (timsort) suits a concatenation of sorted runs.
+    """
+    keys = np.sort(keys, kind=kind)
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+
+
+def _vertex_bound(cells) -> int:
+    """One more than the largest vertex in any of the arrays (0 if none)."""
+    return 1 + max((int(c.max()) for c in cells if c.size), default=-1)
+
+
+def _combinations(m: int, k: int) -> np.ndarray:
+    """(C(m, k), k) table of the k-subsets of range(m), in lexicographic order."""
+    table = np.arange(m).reshape(-1, 1)
+    for _ in range(k - 1):
+        # Extend each row by every v above its last vertex.
+        last = table[:, -1]
+        count = m - 1 - last
+        offset = np.repeat(np.cumsum(count) - count - last - 1, count)
+        new = np.arange(offset.size) - offset
+        table = np.column_stack((np.repeat(table, count, axis=0), new))
+    return table
+
+
+def _sorted_keys(rows: np.ndarray, n: int):
+    """The rows' keys in sorted order, and the row of each sorted key."""
+    keys = _keys(rows, n)
+    order = np.argsort(keys)
+    return keys[order], order
+
+
+def _facets(rows: np.ndarray, lower, n: int) -> np.ndarray:
+    """Row in the lower cardinality of every facet of every row.
+
+    ``lower`` is ``_sorted_keys`` of the (k-1)-vertex rows.  Column j of the
+    (m, k) result is the facet without vertex k - 1 - j, the order in which
+    ``itertools.combinations`` lists facets.  Raises
+    ``InputValidationError`` on a missing facet.
+    """
+    lower_keys, lower_order = lower
+    m, k = rows.shape
+    out = np.empty((m, k), np.intp)
+    for j in range(k):
+        face = np.delete(rows, k - 1 - j, axis=1)
+        keys = _keys(face, n)
+        at = np.searchsorted(lower_keys, keys)
+        found = at < len(lower_keys)
+        found[found] = lower_keys[at[found]] == keys[found]
+        if not found.all():
+            r = np.flatnonzero(~found)[0]
+            raise InputValidationError(
+                f"missing face {tuple(face[r].tolist())} of {tuple(rows[r].tolist())}"
+            )
+        out[:, j] = lower_order[at]
+    return out
+
+
+def _lex_descents(rows: np.ndarray) -> np.ndarray:
+    """Whether each row is lexicographically above the next one."""
+    step = rows[1:] - rows[:-1]
+    first = np.argmax(step != 0, axis=1)
+    return step[np.arange(len(step)), first] < 0
+
+
+@dataclass(frozen=True)
+class Skeleton:
+    """Simplices without values, grouped by cardinality.
+
+    ``cells[k - 1]`` is an (m, k) int64 array of the k-vertex simplices,
+    each a strictly increasing vertex row, rows in lexicographic order and
+    without repeats; ``len`` counts simplices.
+    """
+
+    cells: tuple
+
+    def __len__(self):
+        return sum(map(len, self.cells))
+
 
 @dataclass(frozen=True)
 class FilteredComplex:
     """Simplices with filtration values, sorted by (value, cardinality, vertices).
 
-    Closed under faces within the cardinality cap ``dim_cap + 1``; values are
-    monotone along face inclusions.
+    ``dims[i]`` is the dimension of the i-th simplex and ``values[i]`` its
+    value.  ``cells[p]`` holds the p-simplices as an (m, p + 1) array of
+    strictly increasing vertex rows in filtration order, so the i-th simplex
+    is the next row of ``cells[dims[i]]``.  Closed under faces within the
+    cardinality cap ``dim_cap + 1``; values are monotone along face
+    inclusions.  ``check`` verifies all of this.
     """
 
-    simplices: tuple
+    cells: tuple
+    dims: np.ndarray
     values: np.ndarray
     dim_cap: int
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        cells = tuple(
+            np.array(c, dtype=np.int64).reshape(-1, p + 1) for p, c in enumerate(self.cells)
+        )
+        dims = np.array(self.dims, dtype=np.intp)
+        values = np.array(self.values, dtype=float)
+        if (
+            np.bincount(dims, minlength=len(cells)).tolist() != [len(c) for c in cells]
+            or values.shape != dims.shape
+        ):
+            raise InputValidationError("cells, dims and values of a complex disagree")
+        for a in (*cells, dims, values):
+            a.setflags(write=False)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "values", values)
 
     def __len__(self):
-        return len(self.simplices)
+        return len(self.values)
+
+    @cached_property
+    def simplices(self) -> tuple:
+        """Vertex tuples of the simplices in filtration order, built on first use."""
+        rows = [iter(list(map(tuple, c.tolist()))) for c in self.cells]
+        return tuple(next(rows[p]) for p in self.dims.tolist())
 
     def value_of(self) -> dict:
         return dict(zip(self.simplices, self.values.tolist()))
@@ -65,74 +225,106 @@ class FilteredComplex:
         """Raise if sortedness, uniqueness, downward closure or monotonicity fail."""
         self.facet_indices()
 
-    def facet_indices(self) -> list:
+    def facet_indices(self) -> tuple:
         """Indices of each simplex's facets, checking the complex in the same pass.
 
-        Entry ``j`` of the tuple for a simplex ``s`` of ``k`` vertices is the
-        index of the facet without ``s[k - 1 - j]``; vertices get the empty
-        tuple.  Raises ``InputValidationError`` if the simplices are not
-        sorted by (value, cardinality, vertices), repeat, miss a facet, or
-        enter before one of their facets.
+        Returns one array per dimension p: row r of ``facets[p]`` holds the
+        indices of the facets of the r-th p-simplex, entry j the facet
+        without vertex p - j (``itertools.combinations`` order); vertices
+        have none, so ``facets[0]`` has no columns.  Raises
+        ``InputValidationError`` if a vertex row is not strictly increasing
+        and non-negative, or the simplices are not sorted by (value,
+        cardinality, vertices), repeat, miss a facet, or enter before one of
+        their facets.
         """
-        simplices = self.simplices
-        values = self.values
-        card = np.fromiter(map(len, simplices), np.intp, len(simplices))
-        dv, dc = np.diff(values), np.diff(card)
-        desc = np.fromiter(map(operator.gt, simplices[:-1], simplices[1:]), bool)
-        tied_desc = (dv == 0) & ((dc < 0) | ((dc == 0) & desc))
-        unsorted = np.flatnonzero((dv < 0) | tied_desc)
-        if unsorted.size:
-            i = unsorted[0]
-            raise InputValidationError(
-                f"not sorted at {simplices[i]} -> {simplices[i + 1]}"
-            )
-        facets = _facet_positions(simplices)
-        # Sorted and monotone, every facet comes before its simplex.
-        counts = np.where(card > 1, card, 0)
-        face = np.fromiter(chain.from_iterable(facets), np.intp)
-        worse = np.flatnonzero(values[face] > np.repeat(values, counts))
-        if worse.size:
-            j = worse[0]
-            owner = np.searchsorted(np.cumsum(counts), j, side="right")
-            raise InputValidationError(
-                f"filtration not monotone: {simplices[face[j]]} > {simplices[owner]}"
-            )
-        return facets
+        cells, dims, values = self.cells, self.dims, self.values
+        at = [np.flatnonzero(dims == p) for p in range(len(cells))]
+
+        def simplex(i):
+            p = dims[i]
+            return tuple(cells[p][np.searchsorted(at[p], i)].tolist())
+
+        for rows in cells:
+            rising = (rows[:, 1:] > rows[:, :-1]).all(axis=1)
+            bad = np.flatnonzero((rows[:, 0] < 0) | ~rising)
+            if bad.size:
+                raise InputValidationError(
+                    f"vertices of {tuple(rows[bad[0]].tolist())} are not increasing"
+                    " non-negative integers"
+                )
+        dv = np.diff(values)
+        unsorted = (dv < 0) | ((dv == 0) & (np.diff(dims) < 0))
+        for p, rows in enumerate(cells):
+            # Consecutive rows of one dimension that are also consecutive
+            # simplices must rise lexicographically where their values tie.
+            desc = _lex_descents(rows)
+            i, nxt = at[p][:-1][desc], at[p][1:][desc]
+            i = i[nxt == i + 1]
+            unsorted[i[dv[i] == 0]] = True
+        if unsorted.any():
+            i = np.flatnonzero(unsorted)[0]
+            raise InputValidationError(f"not sorted at {simplex(i)} -> {simplex(i + 1)}")
+
+        n = _vertex_bound(cells)
+        lower = []
+        for rows in cells:
+            keys, order = _sorted_keys(rows, n)
+            dup = np.flatnonzero(keys[1:] == keys[:-1])
+            if dup.size:
+                raise InputValidationError(
+                    f"duplicate simplex {tuple(rows[order[dup[0]]].tolist())}"
+                )
+            lower.append((keys, order))
+        facets = [np.empty((len(c), 0), np.intp) for c in cells[:1]]
+        for p in range(1, len(cells)):
+            face = at[p - 1][_facets(cells[p], lower[p - 1], n)]
+            worse = np.argwhere(values[face] > values[at[p]][:, None])
+            if worse.size:
+                r, j = worse[0]
+                raise InputValidationError(
+                    f"filtration not monotone: {simplex(face[r, j])} > {simplex(at[p][r])}"
+                )
+            facets.append(face)
+        return tuple(facets)
 
 
-def _facet_positions(simplices) -> list:
-    """Positions in ``simplices`` of each simplex's facets, in ``combinations`` order.
+def make_filtered_complex(cells, values=None, *, dim_cap: int) -> FilteredComplex:
+    """Sort simplices into a FilteredComplex, by (value, cardinality, vertices).
 
-    Vertices get the empty tuple.  Raises ``InputValidationError`` on a
-    repeated simplex or a missing facet.
+    ``cells[k - 1]`` holds the k-vertex simplices as in ``Skeleton``, and
+    ``values`` their values, cardinality after cardinality.  Tests and
+    oracles may pass a dict simplex -> value instead, without ``values``.
     """
-    index = {s: i for i, s in enumerate(simplices)}
-    if len(index) < len(simplices):
-        dup = next(s for i, s in enumerate(simplices) if index[s] != i)
-        raise InputValidationError(f"duplicate simplex {dup}")
-    position = index.__getitem__
-    facets = []
-    for s in simplices:
-        faces = combinations(s, len(s) - 1) if len(s) > 1 else ()
-        try:
-            facets.append(tuple(map(position, faces)))
-        except KeyError as missing:
-            raise InputValidationError(f"missing face {missing.args[0]} of {s}") from None
-    return facets
-
-
-def make_filtered_complex(value_by_simplex: dict, dim_cap: int) -> FilteredComplex:
-    """Sort a simplex -> value map into a FilteredComplex."""
-    simplices = sorted(value_by_simplex)
-    n = len(simplices)
-    values = np.fromiter(map(value_by_simplex.__getitem__, simplices), float, n)
-    card = np.fromiter(map(len, simplices), np.intp, n)
-    order = np.lexsort((card, values)).tolist()
+    if values is None:
+        cells, values = _cells_of(cells)
+    values = np.asarray(values, dtype=float)
+    counts = [len(c) for c in cells]
+    card = np.repeat(np.arange(len(cells)), counts)
+    # Stable, so tied values keep the (cardinality, vertices) order of the input.
+    order = np.lexsort((card, values))
+    dims = card[order]
+    start = np.cumsum(counts) - counts
     return FilteredComplex(
-        simplices=tuple(map(simplices.__getitem__, order)),
+        cells=tuple(c[order[dims == p] - start[p]] for p, c in enumerate(cells)),
+        dims=dims,
         values=values[order],
         dim_cap=dim_cap,
     )
+
+
+def _cells_of(value_by_simplex: dict):
+    """The cells and values of a dict simplex -> value, as ``Skeleton`` orders them."""
+    by_card = {}
+    for s, v in value_by_simplex.items():
+        by_card.setdefault(len(s), []).append((s, v))
+    cells, values = [], [np.empty(0)]
+    for k in range(1, max(by_card, default=0) + 1):
+        items = by_card.get(k, [])
+        rows = np.array([s for s, _ in items], dtype=np.int64).reshape(-1, k)
+        lex = np.lexsort(rows.T[::-1])
+        cells.append(rows[lex])
+        values.append(np.array([v for _, v in items], dtype=float)[lex])
+    return cells, np.concatenate(values)
 
 
 def slope_points(phi: ParentFunction, R: RestrictionTimes) -> frozenset:
@@ -223,36 +415,30 @@ def maximal_faces(gamma, R: RestrictionTimes, S: frozenset) -> list:
     return [frozenset(f[:k]) for f, k in zip(verts[keep].tolist(), size[keep].tolist())]
 
 
-def _by_cardinality(simplices):
-    """Yield (positions, (m, k) vertex array) per cardinality k of the simplices."""
-    card = np.fromiter(map(len, simplices), np.intp, len(simplices))
-    for k in np.unique(card).tolist():
-        idxs = np.flatnonzero(card == k)
-        flat = chain.from_iterable(map(simplices.__getitem__, idxs.tolist()))
-        yield idxs, np.fromiter(flat, np.intp, k * idxs.size).reshape(-1, k)
-
-
-def filtration_values(lam, simplices) -> np.ndarray:
+def filtration_values(lam, cells) -> np.ndarray:
     """min-max filtration values of vertex sets under Lambda, vectorized.
 
-    For a chunk of simplices of one cardinality, takes the running maximum
-    of their vertices' Lambda rows in one (chunk, |W|) buffer, then the
-    minimum over witnesses.  max and min are exact, so the values do not
-    depend on the chunking or the vertex order.
+    ``cells`` holds one (m, k) vertex array per cardinality; the values come
+    back in one array, cardinality after cardinality.  For a chunk of rows,
+    takes the running maximum of their vertices' Lambda rows in one
+    (chunk, |W|) buffer, then the minimum over witnesses.  max and min are
+    exact, so the values do not depend on the chunking or the vertex order.
     """
     lam = as_extended_matrix(lam)
-    values = np.empty(len(simplices))
     chunk = max(1, _CHUNK_CELLS // max(1, lam.shape[1]))
-    for idxs, verts in _by_cardinality(simplices):
-        acc = np.empty((min(chunk, len(idxs)), lam.shape[1]))
-        for start in range(0, len(idxs), chunk):
+    values = [np.empty(0)]
+    for verts in cells:
+        out = np.empty(len(verts))
+        acc = np.empty((min(chunk, len(verts)), lam.shape[1]))
+        for start in range(0, len(verts), chunk):
             v = verts[start : start + chunk]
             a = acc[: len(v)]
             np.take(lam, v[:, 0], axis=0, out=a)
             for j in range(1, v.shape[1]):
                 np.maximum(a, lam[v[:, j]], out=a)
-            values[idxs[start : start + chunk]] = a.min(axis=1)
-    return values
+            out[start : start + chunk] = a.min(axis=1)
+        values.append(out)
+    return np.concatenate(values)
 
 
 def skeleton_size(n: int, d: int) -> int:
@@ -260,22 +446,78 @@ def skeleton_size(n: int, d: int) -> int:
     return sum(math.comb(n, k) for k in range(1, d + 3))
 
 
-def expand_skeleton(faces, d: int, max_simplices=None) -> set:
-    """All subsets of the faces with cardinality <= d+2, deduplicated."""
+def expand_skeleton(faces, d: int, max_simplices=None) -> Skeleton:
+    """All subsets of the faces with cardinality <= d+2, deduplicated.
+
+    Faces of one size are expanded together through a table of index
+    combinations.  The keys (``_keys``) of their subsets come in blocks of
+    about ``_BLOCK_KEYS``, each sorted and stripped of repeats on its own.
+    Pending blocks are merged into the running union of one cardinality
+    once they outgrow it, so every key is merged once as pending, the
+    merges cost O(N log N) for N subsets, and the pending keys never exceed
+    the union by more than a block.  The union is decoded back to rows in
+    lexicographic order.  Raises ``SizeLimitError`` before any subset is
+    built if one face alone exceeds ``max_simplices``, and at a merge once
+    the union does.
+    """
     cap = d + 2
+    by_size = {}
+    for f in faces:
+        by_size.setdefault(len(f), []).append(list(f))
     if max_simplices is not None:
-        for f in faces:
-            lower = sum(math.comb(len(f), k) for k in range(1, min(len(f), cap) + 1))
+        for m in by_size:
+            lower = sum(math.comb(m, k) for k in range(1, min(m, cap) + 1))
             if lower > max_simplices:
                 raise SizeLimitError(lower, max_simplices)
-    simplices = set()
-    for f in faces:
-        base = tuple(sorted(f))
-        for k in range(1, min(len(base), cap) + 1):
-            simplices.update(combinations(base, k))
-        if max_simplices is not None and len(simplices) > max_simplices:
-            raise SizeLimitError(len(simplices), max_simplices)
-    return simplices
+    by_size = {m: np.sort(np.array(f, dtype=np.int64), axis=1) for m, f in by_size.items()}
+    n = _vertex_bound(by_size.values())
+
+    cells = []
+    total = 0
+    for k in range(1, cap + 1):
+        runs, pending = [], 0  # runs[0] is the union so far, the rest pending
+        for keys in _subset_keys(by_size, k, n):
+            runs.append(_sorted_unique(keys))
+            pending += len(runs[-1]) if len(runs) > 1 else 0
+            if pending > len(runs[0]):
+                runs, pending = [_sorted_unique(np.concatenate(runs), "stable")], 0
+                if max_simplices is not None and total + len(runs[0]) > max_simplices:
+                    raise SizeLimitError(total + len(runs[0]), max_simplices)
+        if not runs:
+            cells.append(np.empty((0, k), np.int64))
+            continue
+        rows = _rows(_sorted_unique(np.concatenate(runs), "stable"), n, k)
+        total += len(rows)
+        if max_simplices is not None and total > max_simplices:
+            raise SizeLimitError(total, max_simplices)
+        cells.append(rows[np.lexsort(rows.T[::-1])])
+    return Skeleton(tuple(cells))
+
+
+def _subset_keys(by_size: dict, k: int, n: int):
+    """Yield keys of the k-subsets of the faces, in blocks of about ``_BLOCK_KEYS``.
+
+    ``by_size`` maps a face size m to an (f, m) array of sorted faces.  A
+    block pools the subsets of faces of several sizes until it reaches
+    ``_BLOCK_KEYS``, so no block holds more than twice that many.
+    """
+    parts, size = [], 0
+    for m, faces in by_size.items():
+        if m < k:
+            continue
+        table = _combinations(m, k)
+        per_block = max(1, _BLOCK_KEYS // len(table))
+        for start in range(0, len(faces), per_block):
+            block = faces[start : start + per_block]
+            for row in range(0, len(table), _BLOCK_KEYS):
+                subsets = block[:, table[row : row + _BLOCK_KEYS]]
+                parts.append(_keys(subsets.reshape(-1, k), n))
+                size += len(parts[-1])
+                if size >= _BLOCK_KEYS:
+                    yield np.concatenate(parts)
+                    parts, size = [], 0
+    if parts:
+        yield np.concatenate(parts)
 
 
 def full_dowker_nerve(lam, d: int, max_simplices=None) -> FilteredComplex:
@@ -287,15 +529,12 @@ def full_dowker_nerve(lam, d: int, max_simplices=None) -> FilteredComplex:
     n = lam.shape[0]
     if max_simplices is not None and skeleton_size(n, d) > max_simplices:
         raise SizeLimitError(skeleton_size(n, d), max_simplices)
-    simplices = []
-    for k in range(1, d + 3):
-        simplices.extend(combinations(range(n), k))
-    values = filtration_values(lam, simplices)
+    cells = [_combinations(n, k) for k in range(1, d + 3)]
+    values = filtration_values(lam, cells)
     finite = np.isfinite(values)
-    return make_filtered_complex(
-        {s: v for s, v, ok in zip(simplices, values, finite) if ok},
-        dim_cap=d + 1,
-    )
+    split = np.cumsum([len(c) for c in cells])[:-1]
+    cells = [c[ok] for c, ok in zip(cells, np.split(finite, split))]
+    return make_filtered_complex(cells, values[finite], dim_cap=d + 1)
 
 
 @dataclass(frozen=True)
@@ -321,9 +560,9 @@ def _sparse_skeleton(
     Truncates Lambda to Gamma (validating alpha; farthest-point sampling
     computes only the cover entries it needs), reads the restriction times R
     off the truncation tree, scales them by ``scale``, and expands the
-    maximal faces of the sparse nerve of (Gamma, R) into the (d+1)-skeleton.  Returns the
-    truncation, R and the simplices in (cardinality, vertices) order;
-    callers assign values and sort by them.
+    maximal faces of the sparse nerve of (Gamma, R) into the (d+1)-skeleton.
+    Returns the truncation, R and the ``Skeleton``; callers assign values
+    and sort by them.
     """
     if d < 0:
         raise InputValidationError("homology dimension must be >= 0")
@@ -334,11 +573,7 @@ def _sparse_skeleton(
     # power of two is exact, so this is exactly ``scale`` times R.
     R = restriction_times(tr.tree, scale * dd.values, scale * tr.gamma.values)
     faces = maximal_faces(tr.gamma.values, R, slope_points(tr.tree, R))
-    # (cardinality, vertices) order puts facets before cofaces, as the snap
-    # needs, and leaves make_filtered_complex d + 2 sorted runs to merge.
-    simplices = sorted(expand_skeleton(faces, d, max_simplices))
-    simplices.sort(key=len)
-    return tr, R, simplices
+    return tr, R, expand_skeleton(faces, d, max_simplices)
 
 
 def sparse_dowker_nerve(
@@ -360,9 +595,9 @@ def sparse_dowker_nerve(
     """
     if not isinstance(dd, DowkerDissimilarity):
         dd = DowkerDissimilarity(dd)
-    tr, R, simplices = _sparse_skeleton(dd, alpha, d, initial_point, max_simplices)
-    values = filtration_values(dd.values, simplices)
-    complex_ = make_filtered_complex(dict(zip(simplices, values)), dim_cap=d + 1)
+    tr, R, skeleton = _sparse_skeleton(dd, alpha, d, initial_point, max_simplices)
+    values = filtration_values(dd.values, skeleton.cells)
+    complex_ = make_filtered_complex(skeleton.cells, values, dim_cap=d + 1)
     return SparseNerveResult(complex=complex_, gamma=tr.gamma, phi=tr.tree, restriction=R)
 
 
@@ -388,36 +623,33 @@ def ambient_cech_nerve(
     """
     X = PointCloud(points).points
     dd = distance_matrix(X)
-    _, _, simplices = _sparse_skeleton(
+    _, _, skeleton = _sparse_skeleton(
         dd, alpha, d, initial_point, max_simplices, scale=2.0
     )
-    radii = np.empty(len(simplices))
-    for idxs, verts in _by_cardinality(simplices):
-        radii[idxs] = enclosing_radii(X, verts)
-    snapped = _monotone_snap(simplices, radii)
-    return make_filtered_complex(dict(zip(simplices, snapped)), dim_cap=d + 1)
+    cells = skeleton.cells
+    radii = np.concatenate([enclosing_radii(X, rows) for rows in cells])
+    return make_filtered_complex(cells, _monotone_snap(cells, radii), dim_cap=d + 1)
 
 
 def full_ambient_cech(points, d: int) -> FilteredComplex:
     """Exact ambient Cech skeleton with miniball values; small-instance oracle."""
     X = np.asarray(points, dtype=float)
-    simplices = [s for k in range(1, d + 3) for s in combinations(range(X.shape[0]), k)]
-    radii = [miniball(X[list(s)])[1] for s in simplices]
-    snapped = _monotone_snap(simplices, radii)
-    return make_filtered_complex(dict(zip(simplices, snapped)), dim_cap=d + 1)
+    cells = [_combinations(X.shape[0], k) for k in range(1, d + 3)]
+    radii = [miniball(X[row])[1] for c in cells for row in c]
+    return make_filtered_complex(cells, _monotone_snap(cells, radii), dim_cap=d + 1)
 
 
-def _monotone_snap(simplices, values) -> list:
-    """Lift each value to the max over its facets, in one forward pass.
+def _monotone_snap(cells, values) -> np.ndarray:
+    """Lift each value to the max over its facets, one cardinality at a time.
 
-    Every facet must come before its cofaces in ``simplices``, as in
-    (cardinality, vertices) order.  Enclosing-ball radii are monotone under
-    inclusion in exact arithmetic; this removes the epsilon-scale violations
-    the solver can introduce.
+    ``cells`` and ``values`` are as ``make_filtered_complex`` takes them.
+    Enclosing-ball radii are monotone under inclusion in exact arithmetic;
+    this removes the epsilon-scale violations the solver can introduce.
     """
-    out = np.asarray(values, dtype=float).tolist()
-    for i, facets in enumerate(_facet_positions(simplices)):
-        for j in facets:
-            if out[j] > out[i]:
-                out[i] = out[j]
+    out = np.array(values, dtype=float)
+    parts = np.split(out, np.cumsum([len(c) for c in cells])[:-1])
+    n = _vertex_bound(cells)
+    for k in range(1, len(cells)):
+        facets = _facets(cells[k], _sorted_keys(cells[k - 1], n), n)
+        np.maximum(parts[k], parts[k - 1][facets].max(axis=1), out=parts[k])
     return out

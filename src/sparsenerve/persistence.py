@@ -37,16 +37,19 @@ class PersistenceDiagram:
 def _boundary_columns(K: FilteredComplex):
     """Facet indices and dimension of every simplex of a checked complex.
 
-    Returns (cols, dims); ``cols[i]`` holds the indices of the facets of
+    Returns (facets, dims): ``facets[p]`` holds, row by row, the indices of
+    the facets of the p-simplices in filtration order (as
+    ``FilteredComplex.facet_indices``), and ``dims[i]`` is the dimension of
     simplex ``i``.  Raises ``InputValidationError`` where
     ``FilteredComplex.check`` would.
     """
-    return K.facet_indices(), [len(s) - 1 for s in K.simplices]
+    return K.facet_indices(), K.dims
 
 
-def _reduce_cohomology(cols, dims, max_dim):
+def _reduce_cohomology(facets, dims, max_dim):
     """Persistence pairs with births in dimensions 0..max_dim, via cohomology.
 
+    ``facets`` and ``dims`` are as ``_boundary_columns`` returns them.
     Dimension 0 is union-find over the edges in filtration order: an edge
     joining two components kills the younger one's oldest vertex (the elder
     rule).  Each dimension k >= 1 reduces the coboundaries of the
@@ -55,6 +58,9 @@ def _reduce_cohomology(cols, dims, max_dim):
     (co)homology", 2011).  Simplices that died in dimension k - 1 reduce to
     zero and are skipped (clearing), and a column whose earliest coface is
     no pivot yet is paired without reduction (an emergent pair).
+
+    The coboundaries of dimension k are slices of one sorted list of the
+    (facet, coface) pairs of the (k+1)-simplices.
 
     A column being reduced is a set, for Z/2 addition, beside a min-heap of
     its entries, which finds each pivot in O(log m) instead of a scan.  The
@@ -66,12 +72,15 @@ def _reduce_cohomology(cols, dims, max_dim):
     Vietoris-Rips persistence barcodes", J. Appl. Comput. Topol. 5 (2021).
     Pairs equal those of the boundary-matrix reduction ``_reduce_twist``.
     """
-    by_dim = [[] for _ in range(max_dim + 2)]
-    for i, k in enumerate(dims):
-        if k <= max_dim + 1:
-            by_dim[k].append(i)
+    dims = np.asarray(dims)
+    by_dim = [np.flatnonzero(dims == k) for k in range(max_dim + 2)]
 
-    parent = list(range(len(cols)))
+    def facets_of(k):
+        if k < len(facets):
+            return facets[k]
+        return np.empty((0, k + 1), np.intp)
+
+    parent = list(range(len(dims)))
 
     def find(x):
         while parent[x] != x:
@@ -81,24 +90,28 @@ def _reduce_cohomology(cols, dims, max_dim):
 
     pairs = []
     deaths = set()
-    for e in by_dim[1]:
-        u, v = sorted(find(x) for x in cols[e])
+    for e, ends in zip(by_dim[1].tolist(), facets_of(1).tolist()):
+        u, v = sorted(find(x) for x in ends)
         if u != v:
             parent[v] = u
             pairs.append((v, e))
             deaths.add(e)
-    essential = [v for v in by_dim[0] if parent[v] == v]
+    essential = [v for v in by_dim[0].tolist() if parent[v] == v]
 
+    n = max(len(dims), 1)
     for k in range(1, max_dim + 1):
-        cofaces = {i: [] for i in by_dim[k]}
-        for t in by_dim[k + 1]:
-            for f in cols[t]:
-                cofaces[f].append(t)
+        # One sort of facet * n + coface orders the (facet, coface) pairs
+        # by facet, then coface, so each coboundary is a sorted slice.
+        pair = facets_of(k + 1) * n + by_dim[k + 1][:, None]
+        face, cofaces = np.divmod(np.sort(pair, axis=None), n)
+        cofaces = cofaces.tolist()
+        first = np.searchsorted(face, by_dim[k]).tolist()
+        last = np.searchsorted(face, by_dim[k], side="right").tolist()
         pivots = {}  # pivot coface -> reduced coboundary owning it
-        for i in reversed(by_dim[k]):
+        for i, a, b in zip(by_dim[k].tolist()[::-1], first[::-1], last[::-1]):
             if i in deaths:
                 continue
-            col = cofaces[i]
+            col = cofaces[a:b]
             if col and col[0] not in pivots:
                 pivots[col[0]] = col
                 pairs.append((i, col[0]))
@@ -129,8 +142,9 @@ def _reduce_cohomology(cols, dims, max_dim):
 def _reduce_twist(cols, dims):
     """Column reduction in decreasing dimension with clearing; a test oracle.
 
-    Returns (pairs, essential) where pairs are (birth_index, death_index)
-    and essential are unpaired creator indices.  The pipeline does not call
+    ``cols[i]`` holds the facet indices of simplex ``i`` and ``dims[i]`` its
+    dimension.  Returns (pairs, essential) where pairs are (birth_index,
+    death_index) and essential are unpaired creator indices.  The pipeline does not call
     it; it stays in this module because the traced benchmark
     (``perfbench/spans.py``) wraps it by name, and a missing span target
     reads as a null metric.
@@ -175,9 +189,9 @@ def compute_persistence(K: FilteredComplex, max_dim: int) -> PersistenceDiagram:
     """
     if max_dim < 0:
         raise InputValidationError(f"max_dim must be >= 0, got {max_dim}")
-    cols, dims = _boundary_columns(K)
-    pairs, essential = _reduce_cohomology(cols, dims, max_dim)
-    values = K.values.tolist()
+    facets, dims = _boundary_columns(K)
+    pairs, essential = _reduce_cohomology(facets, dims, max_dim)
+    values, dims = K.values.tolist(), dims.tolist()
     points = []
     zero_length = 0
     for birth, death in pairs:

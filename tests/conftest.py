@@ -16,6 +16,16 @@ EVERY_ALPHA_KIND = [
 ]
 
 
+def facet_lists(facets, dims):
+    """Facet indices per simplex, as tuples in filtration order, from the
+    per-dimension arrays of ``FilteredComplex.facet_indices``."""
+    cols = [()] * len(dims)
+    for p, rows in enumerate(facets):
+        for i, row in zip(np.flatnonzero(np.asarray(dims) == p).tolist(), rows.tolist()):
+            cols[i] = tuple(row)
+    return cols
+
+
 def random_dissimilarity(rng, max_side=7):
     """Small random extended-value matrix for oracle comparisons."""
     nl = int(rng.integers(2, max_side + 1))

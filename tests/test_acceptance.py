@@ -163,7 +163,7 @@ class TestAcceptance:
             X = rng.normal(size=(int(rng.integers(2, 7)), 2))
             K = ambient_cech_nerve(X, ID, 1)
             dm = distance_matrix(X).values
-            intrinsic = filtration_values(dm, K.simplices)
+            intrinsic = filtration_values(dm, [np.array([s]) for s in K.simplices])
             good = np.all(K.values <= intrinsic + 1e-9)
             full = full_ambient_cech(X, 1).value_of()
             for s, v in K.value_of().items():

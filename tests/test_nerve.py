@@ -34,7 +34,7 @@ from sparsenerve.nerve import (
 )
 from sparsenerve.persistence import compute_persistence, diagram_interleaving_check
 
-from conftest import EVERY_ALPHA_KIND, random_dissimilarity
+from conftest import EVERY_ALPHA_KIND, facet_lists, random_dissimilarity
 
 LINE3 = np.array([[0.0, 1, 3], [1, 0, 2], [3, 2, 0]])
 
@@ -218,14 +218,17 @@ class TestFilteredComplex:
 def test_monotone_snap_matches_dict_walk(rng):
     for _ in range(20):
         n = int(rng.integers(1, 7))
-        simplices = [s for k in range(1, 4) for s in combinations(range(n), k)]
+        cells = [
+            np.array(list(combinations(range(n), k)), int).reshape(-1, k) for k in range(1, 4)
+        ]
+        simplices = [tuple(row) for c in cells for row in c.tolist()]
         values = rng.integers(0, 4, size=len(simplices)).astype(float).tolist()
         oracle = {}
         for s, v in zip(simplices, values):
             for face in combinations(s, len(s) - 1) if len(s) > 1 else ():
                 v = max(v, oracle[face])
             oracle[s] = v
-        assert _monotone_snap(simplices, values) == list(oracle.values())
+        assert _monotone_snap(cells, values).tolist() == list(oracle.values())
 
 
 class TestSkeletonSize:
@@ -244,11 +247,108 @@ class TestSkeletonSize:
 class TestExpandSkeleton:
     def test_expansion(self):
         s = expand_skeleton([frozenset({0, 1, 2})], 1)
-        assert s == {(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)}
+        assert len(s) == 7
+        assert _rows_of(s) == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
 
     def test_budget_enforced(self):
         with pytest.raises(SizeLimitError):
             expand_skeleton([frozenset(range(40))], 10, max_simplices=1000)
+
+    @pytest.mark.parametrize("block", [1, 1 << 16])
+    def test_budget_counts_the_union(self, block):
+        # Ten disjoint triangles: 7 simplices each at d = 1, 70 in all.
+        faces = [frozenset({3 * i, 3 * i + 1, 3 * i + 2}) for i in range(10)]
+        with mock.patch.object(nerve, "_BLOCK_KEYS", block):
+            assert len(expand_skeleton(faces * 3, 1, max_simplices=70)) == 70
+            with pytest.raises(SizeLimitError):
+                expand_skeleton(faces, 1, max_simplices=69)
+
+
+def _rows_of(skeleton):
+    """A skeleton's simplices as tuples, cardinality after cardinality."""
+    return [tuple(row) for c in skeleton.cells for row in c.tolist()]
+
+
+def _set_expansion(faces, d):
+    """Oracle: every subset of cardinality <= d + 2 of the faces, as tuples."""
+    simplices = set()
+    for f in faces:
+        base = tuple(sorted(f))
+        for k in range(1, min(len(base), d + 2) + 1):
+            simplices.update(combinations(base, k))
+    return simplices
+
+
+def _dict_facets(simplices):
+    """Oracle: positions of each simplex's facets by dict lookup, in combinations order."""
+    index = {s: i for i, s in enumerate(simplices)}
+    return [
+        tuple(index[f] for f in combinations(s, len(s) - 1)) if len(s) > 1 else ()
+        for s in simplices
+    ]
+
+
+def _tied_values(simplices, seed):
+    """Monotone values in {0, 1, 2}: the largest weight of a vertex or an edge of s."""
+    def weight(t):
+        return hash((seed, t)) % 3
+
+    return {
+        s: max(weight(t) for k in (1, 2) for t in combinations(s, k)) for s in simplices
+    }
+
+
+def _check_against_oracle(faces, d, seed):
+    skeleton = expand_skeleton(faces, d)
+    oracle = _set_expansion(faces, d)
+    assert len(skeleton) == len(oracle)
+    assert _rows_of(skeleton) == sorted(oracle, key=lambda s: (len(s), s))
+    value_of = _tied_values(oracle, seed)
+    K = make_filtered_complex(
+        skeleton.cells, [value_of[s] for s in _rows_of(skeleton)], dim_cap=d + 1
+    )
+    order = sorted(oracle, key=lambda s: (value_of[s], len(s), s))
+    assert K.simplices == tuple(order)
+    assert K.values.tolist() == [value_of[s] for s in order]
+    assert facet_lists(K.facet_indices(), K.dims) == _dict_facets(order)
+    from_dict = make_filtered_complex(value_of, dim_cap=d + 1)
+    assert from_dict.simplices == K.simplices
+    assert np.array_equal(from_dict.values, K.values)
+
+
+@st.composite
+def face_families(draw):
+    """Overlapping faces on a few vertex labels, at times shifted up near 10**5."""
+    n = draw(st.integers(1, 9))
+    offset = draw(st.sampled_from([0, 99_990]))
+    face = st.sets(st.integers(0, n - 1), min_size=1, max_size=6)
+    faces = draw(st.lists(face, min_size=1, max_size=8))
+    return [frozenset(offset + v for v in f) for f in faces]
+
+
+class TestArrayComplexOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        faces=face_families(),
+        d=st.integers(0, 3),
+        seed=st.integers(0, 3),
+        block=st.sampled_from([1, 2, 5, 1 << 16]),
+    )
+    def test_matches_tuple_oracle(self, faces, d, seed, block):
+        # A tiny block runs the merge of pending blocks into the union.
+        with mock.patch.object(nerve, "_BLOCK_KEYS", block):
+            _check_against_oracle(faces, d, seed)
+
+    def test_wide_keys_at_large_labels(self):
+        # Colex keys of 5- and 6-subsets of 10**5 labels overflow int64, so
+        # those cardinalities use byte keys and the lower ones colex keys.
+        assert nerve._wide(100_000, 5) and not nerve._wide(100_000, 4)
+        rng = np.random.default_rng(5)
+        labels = np.arange(99_980, 100_000)
+        sizes = rng.integers(3, 9, size=10).tolist()
+        faces = [frozenset(rng.choice(labels, size=m, replace=False).tolist()) for m in sizes]
+        with mock.patch.object(nerve, "_BLOCK_KEYS", 7):
+            _check_against_oracle(faces, 4, 0)
 
 
 class TestSparseNervePipeline:
@@ -303,7 +403,7 @@ class TestSparseNervePipeline:
         result = sparse_dowker_nerve(
             DowkerDissimilarity(lam), TranslationFunction.multiplicative(3), 1
         )
-        again = filtration_values(lam, result.complex.simplices)
+        again = filtration_values(lam, [np.array([s]) for s in result.complex.simplices])
         np.testing.assert_array_equal(result.complex.values, again)
 
     def test_size_limit_propagates(self):
@@ -364,7 +464,7 @@ class TestAmbientCech:
             K = ambient_cech_nerve(X, TranslationFunction.identity(), 1)
             K.check()
             dm = distance_matrix(X).values
-            intrinsic = filtration_values(dm, K.simplices)
+            intrinsic = filtration_values(dm, [np.array([s]) for s in K.simplices])
             assert np.all(K.values <= intrinsic + 1e-9)
             full = full_ambient_cech(X, 1).value_of()
             for s, v in K.value_of().items():
@@ -495,7 +595,9 @@ class TestFiltrationValues:
         vertex_sets = st.lists(
             st.integers(0, lam.shape[0] - 1), min_size=1, max_size=4, unique=True
         ).map(tuple)
-        simplices = data.draw(st.lists(vertex_sets, max_size=40))
+        drawn = data.draw(st.lists(vertex_sets, max_size=40))
+        cells = [np.array([s for s in drawn if len(s) == k]).reshape(-1, k) for k in range(1, 5)]
         with mock.patch.object(nerve, "_CHUNK_CELLS", chunk):
-            values = filtration_values(lam, simplices)
+            values = filtration_values(lam, cells)
+        simplices = [tuple(row) for c in cells for row in c.tolist()]
         assert np.array_equal(values, _grouped_max_min(lam, simplices))

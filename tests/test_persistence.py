@@ -27,7 +27,7 @@ from sparsenerve.persistence import (
     interleaving_line,
 )
 
-from conftest import EVERY_ALPHA_KIND, random_dissimilarity
+from conftest import EVERY_ALPHA_KIND, facet_lists, random_dissimilarity
 
 
 def betti_oracle(K, max_dim):
@@ -242,10 +242,11 @@ class TestComputePersistence:
     def test_twist_equals_plain(self, rng):
         for _ in range(30):
             lam = random_dissimilarity(rng, max_side=5)
-            cols, dims = _boundary_columns(full_dowker_nerve(lam, 2))
+            facets, dims = _boundary_columns(full_dowker_nerve(lam, 2))
+            cols = facet_lists(facets, dims)
             twist = _reduce_twist(cols, dims)
             assert _reduce_plain(cols, dims) == twist
-            assert _reduce_cohomology(cols, dims, max(dims, default=0)) == twist
+            assert _reduce_cohomology(facets, dims, max(dims, default=0)) == twist
 
     def test_matches_rank_oracle_small(self, rng):
         checked = 0
@@ -278,10 +279,14 @@ class TestComputePersistence:
             (((0,), (0, 1)), [0.0, 1.0], "missing face"),
             (((0, 1), (0,), (1,)), [0.0, 0.0, 0.0], "not sorted"),
             (((1,), (0,), (0, 1)), [0.0, 0.0, 0.0], "not sorted"),
+            (((0,), (1,), (1, 0)), [0.0, 0.0, 1.0], "not increasing"),
+            (((0,), (1,), (0,)), [0.0, 1.0, 2.0], "duplicate"),
         ],
     )
     def test_malformed_complex_rejected(self, simplices, values, message):
-        K = FilteredComplex(simplices=simplices, values=values, dim_cap=1)
+        dims = [len(s) - 1 for s in simplices]
+        cells = [[s for s in simplices if len(s) == p + 1] for p in range(max(dims) + 1)]
+        K = FilteredComplex(cells=tuple(cells), dims=dims, values=values, dim_cap=1)
         with pytest.raises(InputValidationError, match=message):
             compute_persistence(K, 1)
 
@@ -381,9 +386,9 @@ class TestReduceCohomology:
         lam, blocks = matrix
         K = full_dowker_nerve(lam, d)
         top = {"0": 0, "cap-1": K.dim_cap - 1, "cap": K.dim_cap, "cap+1": K.dim_cap + 1}[max_dim]
-        cols, dims = _boundary_columns(K)
-        pairs, essential = _reduce_cohomology(cols, dims, top)
-        plain_pairs, plain_essential = _reduce_plain(cols, dims)
+        facets, dims = _boundary_columns(K)
+        pairs, essential = _reduce_cohomology(facets, dims, top)
+        plain_pairs, plain_essential = _reduce_plain(facet_lists(facets, dims), dims)
         assert pairs == [p for p in plain_pairs if dims[p[0]] <= top]
         assert essential == [i for i in plain_essential if dims[i] <= top]
         assert sum(1 for i in essential if dims[i] == 0) >= blocks
@@ -397,8 +402,9 @@ class TestReduceCohomology:
         @given(points=integer_clouds())
         def check(points):
             K = full_dowker_nerve(distance_matrix(PointCloud(points)).values, 2)
-            cols, dims = _boundary_columns(K)
-            pairs, essential = _reduce_cohomology(cols, dims, 2)
+            facets, dims = _boundary_columns(K)
+            cols = facet_lists(facets, dims)
+            pairs, essential = _reduce_cohomology(facets, dims, 2)
             plain_pairs, plain_essential = _reduce_plain(cols, dims)
             assert pairs == [p for p in plain_pairs if dims[p[0]] <= 2]
             assert essential == [i for i in plain_essential if dims[i] <= 2]
