@@ -9,8 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .model import INF, DowkerDissimilarity, InputValidationError
 
@@ -153,7 +151,13 @@ def distance_matrix(cloud: PointCloud) -> DowkerDissimilarity:
 
 
 def shortest_path_matrix(g: WeightedGraph) -> DowkerDissimilarity:
-    """All-pairs shortest-path distances; unreachable pairs are infinite."""
+    """All-pairs shortest-path distances; unreachable pairs are infinite.
+
+    Imports scipy on first call, so that no other input path loads it.
+    """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import shortest_path
+
     n = g.node_count
     if g.edges:
         u, v, w = zip(*g.edges)

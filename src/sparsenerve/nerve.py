@@ -141,7 +141,11 @@ def _facets(rows: np.ndarray, lower, n: int) -> np.ndarray:
     for j in range(k):
         face = np.delete(rows, k - 1 - j, axis=1)
         keys = _keys(face, n)
-        at = np.searchsorted(lower_keys, keys)
+        # Searching the queries in sorted order keeps the binary searches in
+        # cache; the positions are scattered back to row order.
+        order = np.argsort(keys)
+        at = np.empty(m, np.intp)
+        at[order] = np.searchsorted(lower_keys, keys[order])
         found = at < len(lower_keys)
         found[found] = lower_keys[at[found]] == keys[found]
         if not found.all():

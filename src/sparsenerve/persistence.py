@@ -6,8 +6,6 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .model import INF, InputValidationError, TranslationFunction
 from .nerve import FilteredComplex
@@ -253,7 +251,13 @@ def _box_admissible(alpha, a, e, tol):
 
 
 def _matches_every_row(admissible) -> bool:
-    """Does the boolean bipartite matrix have a matching covering all its rows?"""
+    """Does the boolean bipartite matrix have a matching covering all its rows?
+
+    Imports scipy on first call, so that computing diagrams never loads it.
+    """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     rows = maximum_bipartite_matching(csr_array(admissible), perm_type="column")
     return bool((rows >= 0).all())
 

@@ -281,6 +281,8 @@ class TestComputePersistence:
             (((1,), (0,), (0, 1)), [0.0, 0.0, 0.0], "not sorted"),
             (((0,), (1,), (1, 0)), [0.0, 0.0, 1.0], "not increasing"),
             (((0,), (1,), (0,)), [0.0, 1.0, 2.0], "duplicate"),
+            # Both edges miss a vertex; the error names the first edge's.
+            (((0,), (3, 4), (2, 5)), [0.0, 1.0, 2.0], r"missing face \(3,\) of"),
         ],
     )
     def test_malformed_complex_rejected(self, simplices, values, message):
