@@ -160,6 +160,9 @@ def _load_dissimilarity(args):
         if args.format != "graph":
             raise InputValidationError("network mode requires --format graph")
         graph = read_edge_list(args.input)
+        # Every node is a vertex of the nerve; check before the n x n matrix.
+        if 0 <= args.max_simplices < graph.node_count:
+            raise SizeLimitError(graph.node_count, args.max_simplices)
         if args.network_mode == "raw-weight":
             dd = raw_weight_matrix(graph)
         else:

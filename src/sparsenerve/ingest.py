@@ -12,10 +12,17 @@ import numpy as np
 
 from .model import INF, DowkerDissimilarity, InputValidationError
 
+_MAX_SPREAD = 2.0**500
+
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Finite point set in Euclidean n-space, from an array or another cloud."""
+    """Finite point set in Euclidean n-space, from an array or another cloud.
+
+    The largest coordinate spread (max minus min along one axis) must be 0
+    or within [2^-500, 2^500], so that squared distances neither underflow
+    to 0 nor overflow to inf.
+    """
 
     points: np.ndarray
 
@@ -26,6 +33,13 @@ class PointCloud:
             raise InputValidationError(f"expected an (n, dim) array, got {p.shape}")
         if not np.isfinite(p).all():
             raise InputValidationError("point coordinates must be finite")
+        with np.errstate(over="ignore"):
+            spread = float((p.max(axis=0) - p.min(axis=0)).max())
+        if spread > _MAX_SPREAD or 0 < spread < 1 / _MAX_SPREAD:
+            raise InputValidationError(
+                f"coordinate spread {spread:.3g} is outside [2^-500, 2^500],"
+                " where squared distances leave the float range; rescale the points"
+            )
         p = p.copy()
         p.setflags(write=False)
         object.__setattr__(self, "points", p)
@@ -61,18 +75,21 @@ class WeightedGraph:
 
 def _parse_rows(path):
     rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            tokens = body.replace(",", " ").split()
-            try:
-                rows.append((lineno, [float(t) for t in tokens]))
-            except ValueError as exc:
-                raise InputValidationError(
-                    f"{path}:{lineno}: non-numeric token in {body!r}"
-                ) from exc
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                body = line.split("#", 1)[0].strip()
+                if not body:
+                    continue
+                tokens = body.replace(",", " ").split()
+                try:
+                    rows.append((lineno, [float(t) for t in tokens]))
+                except ValueError as exc:
+                    raise InputValidationError(
+                        f"{path}:{lineno}: non-numeric token in {body!r}"
+                    ) from exc
+    except UnicodeDecodeError as exc:
+        raise InputValidationError(f"{path}: not a text file ({exc.reason})") from exc
     if not rows:
         raise InputValidationError(f"{path}: no data rows")
     return rows
@@ -109,7 +126,7 @@ def read_edge_list(path) -> WeightedGraph:
             raise InputValidationError(
                 f"{path}:{lineno}: expected 'u v' or 'u v weight'"
             )
-        if u != int(u) or v != int(v):
+        if not (u.is_integer() and v.is_integer()):
             raise InputValidationError(f"{path}:{lineno}: node ids must be integers")
         edges.append((int(u), int(v), w))
         max_node = max(max_node, int(u), int(v))

@@ -1,15 +1,23 @@
 """Smallest enclosing balls of finite point sets.
 
-``enclosing_radii`` computes the radii for many small vertex sets at once,
-in closed form: the smallest enclosing ball of a set is the circumball of
-an affinely independent support subset (at most D + 1 points in R^D), and
-no enclosing ball is smaller, so the radius is the smallest circumball
-radius, over all vertex subsets, whose ball holds every vertex (Gärtner,
-"Fast and robust smallest enclosing balls", 1999).  Each subset's
-circumcenter is built by Gram-Schmidt on its edge vectors, for a whole
-batch of sets of the same cardinality at once.  ``miniball`` is Welzl's
-algorithm (Welzl 1991) on one point set; it is the independent oracle
-behind ``full_ambient_cech`` and the tests.
+``facet_balls`` computes the balls of a whole skeleton, one cardinality at
+a time, from the balls one cardinality down.  The smallest enclosing ball
+of a set sigma is the circumball of an affinely independent support
+subset T (at most D + 1 points in R^D), with its center in the affine
+hull of T (Gärtner, "Fast and robust smallest enclosing balls", 1999).
+If T is not sigma, T lies in the facet tau that omits a vertex outside T,
+and the ball of tau is the ball of sigma, so it holds sigma's opposite
+vertex.  Any facet ball that holds its opposite vertex encloses sigma,
+and no facet ball is larger than sigma's, so the smallest such radius is
+sigma's.  If no facet ball holds its opposite vertex, T is sigma and
+sigma's own circumball is its ball.  Circumcenters are built by
+Gram-Schmidt on the edge vectors, for a batch of sets at once.
+
+``enclosing_radii`` is the search over every vertex subset's circumball
+that needs no facets; ``facet_balls`` falls back to it for the rows whose
+own circumball is unusable.  ``miniball`` is Welzl's algorithm (Welzl
+1991) on one point set; it is the independent oracle behind
+``full_ambient_cech`` and the tests.
 """
 
 from __future__ import annotations
@@ -23,8 +31,9 @@ from .model import InputValidationError
 
 TOLERANCE = 1e-9
 
-# Sets per batch in ``enclosing_radii``: large enough that numpy's per-call
-# cost is spread thin, small enough that the temporaries stay below a few MiB.
+# Sets per batch in ``enclosing_radii`` and ``facet_balls``: large enough
+# that numpy's per-call cost is spread thin, small enough that the
+# temporaries stay below a few MiB.
 CHUNK = 1024
 
 
@@ -83,8 +92,8 @@ def miniball(points, tol: float = TOLERANCE):
     return center, max(radius, 0.0)
 
 
-def enclosing_radii(X, simplices) -> np.ndarray:
-    """Smallest-enclosing-ball radius of every row of ``simplices``.
+def enclosing_radii(X, simplices):
+    """Smallest enclosing ball of every row of ``simplices``, from no facets.
 
     ``X`` is an ``(n, D)`` array of finite points and ``simplices`` an
     ``(m, k)`` integer array of vertex indices, all sets of the same
@@ -92,7 +101,10 @@ def enclosing_radii(X, simplices) -> np.ndarray:
     min(k, D + 1), the circumball of T with its center in the affine hull
     of T is built for ``CHUNK`` sets at a time; it counts if every vertex
     lies within ``r + TOLERANCE * (1 + r)``, the rule ``miniball`` uses.
-    The radius is the smallest r that counts.
+    Returns the radii, the smallest r that counts (inf if none does), and
+    the ``(m, D)`` centers of those balls.  It builds up to 2^k - 1 balls
+    per set, so ``facet_balls`` calls it only for the rows its own rule
+    cannot settle.
     """
     X = np.asarray(X, dtype=float)
     S = np.asarray(simplices, dtype=np.intp)
@@ -102,19 +114,77 @@ def enclosing_radii(X, simplices) -> np.ndarray:
         for T in combinations(range(k), size)
     ]
     radii = np.empty(S.shape[0])
+    centers = np.empty((S.shape[0], X.shape[1]))
     # Affinely dependent subsets may give non-finite or huge centers; the
     # containment test judges their balls like any other, without warnings.
     with np.errstate(all="ignore"):
         for start in range(0, S.shape[0], CHUNK):
             P = X[S[start : start + CHUNK]]  # (chunk, k, D)
             best = np.full(P.shape[0], np.inf)
+            best_center = np.full(P.shape[::2], np.nan)
             for T in subsets:
                 center, radius = _circumballs(P[:, T])
-                dist = np.linalg.norm(P - center[:, None, :], axis=2).max(axis=1)
-                ok = dist <= radius + TOLERANCE * (1.0 + radius)
-                best = np.where(ok & (radius < best), radius, best)
+                better = _holds(P, center, radius).all(axis=1) & (radius < best)
+                best = np.where(better, radius, best)
+                best_center[better] = center[better]
             radii[start : start + CHUNK] = best
-    return radii
+            centers[start : start + CHUNK] = best_center
+    return radii, centers
+
+
+def facet_balls(X, simplices, facets, facet_radii, facet_centers):
+    """Smallest enclosing balls of the rows of ``simplices``, from their facets' balls.
+
+    ``simplices`` is an ``(m, k)`` array of increasing vertex rows, k >= 2,
+    and column j of ``facets`` the row, among the (k-1)-sets whose balls
+    are ``facet_radii`` and ``facet_centers``, of the facet without vertex
+    k - 1 - j (``nerve._facets`` order).  A row's radius is the smallest
+    radius of a facet ball that holds the opposite vertex, by the rule of
+    ``miniball``; if none does, it is the row's own circumball, checked to
+    hold every vertex.  A row whose circumball is non-finite or fails that
+    check, or that has more than D + 1 vertices, goes to ``enclosing_radii``.
+    Works ``CHUNK`` rows at a time and returns the radii and the ``(m, D)``
+    centers, for the next cardinality.
+    """
+    X = np.asarray(X, dtype=float)
+    S = np.asarray(simplices, dtype=np.intp)
+    radii = np.empty(S.shape[0])
+    centers = np.empty((S.shape[0], X.shape[1]))
+    with np.errstate(all="ignore"):
+        for start in range(0, S.shape[0], CHUNK):
+            rows = S[start : start + CHUNK]
+            f = facets[start : start + CHUNK]
+            r = facet_radii[f]  # (chunk, k)
+            # Facet j omits vertex k - 1 - j.
+            held = _holds(X[rows[:, ::-1]], facet_centers[f], r)
+            j = np.argmin(np.where(held, r, np.inf), axis=1)
+            at = np.arange(len(rows))
+            radius, center = r[at, j], facet_centers[f[at, j]]
+            own = np.flatnonzero(~held.any(axis=1))
+            if own.size:
+                P = X[rows[own]]
+                c, rr = _circumballs(P)
+                # More than D + 1 points are affinely dependent: some facet
+                # ball should have held them, and their circumball is arbitrary.
+                bad = ~(np.isfinite(c).all(axis=1) & _holds(P, c, rr).all(axis=1))
+                bad |= S.shape[1] > X.shape[1] + 1
+                if bad.any():
+                    rr[bad], c[bad] = enclosing_radii(X, rows[own[bad]])
+                radius[own], center[own] = rr, c
+            radii[start : start + CHUNK] = radius
+            centers[start : start + CHUNK] = center
+    return radii, centers
+
+
+def _holds(P, center, radius):
+    """Whether each point of ``P`` (m, t, D) lies within ``r + TOLERANCE * (1 + r)``.
+
+    The containment rule of ``miniball``.  Each point has its own ball for
+    (m, t, D) centers and (m, t) radii; each set shares one for (m, D) and (m,).
+    """
+    if center.ndim == 2:
+        center, radius = center[:, None, :], radius[:, None]
+    return np.linalg.norm(P - center, axis=2) <= radius + TOLERANCE * (1.0 + radius)
 
 
 def _circumballs(Q: np.ndarray):

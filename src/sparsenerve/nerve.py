@@ -23,7 +23,7 @@ import numpy as np
 
 from .cover import cover_matrix  # noqa: F401  (perfbench's smoke tests look it up here)
 from .ingest import PointCloud, distance_matrix
-from .miniball import enclosing_radii, miniball
+from .miniball import facet_balls, miniball
 from .model import (
     DowkerDissimilarity,
     InputValidationError,
@@ -631,8 +631,28 @@ def ambient_cech_nerve(
         dd, alpha, d, initial_point, max_simplices, scale=2.0
     )
     cells = skeleton.cells
-    radii = np.concatenate([enclosing_radii(X, rows) for rows in cells])
-    return make_filtered_complex(cells, _monotone_snap(cells, radii), dim_cap=d + 1)
+    return make_filtered_complex(cells, ambient_radii(X, cells), dim_cap=d + 1)
+
+
+def ambient_radii(X, cells) -> np.ndarray:
+    """Smallest-enclosing-ball radii of the cells, made monotone, one array.
+
+    ``cells`` holds one lexicographic (m, k) vertex array per cardinality
+    k = 1, 2, ..., each closed under facets in the one below.  Goes up
+    through the cardinalities: each set's ball comes from its facets'
+    balls (``miniball.facet_balls``), and its value is lifted to the
+    largest value of its facets in the same pass, which removes the
+    epsilon-scale violations of monotonicity rounding can leave.
+    """
+    X = np.asarray(X, dtype=float)
+    n = _vertex_bound(cells)
+    radii, centers = np.zeros(len(cells[0])), X[cells[0][:, 0]]
+    values = [radii]
+    for k in range(1, len(cells)):
+        facets = _facets(cells[k], _sorted_keys(cells[k - 1], n), n)
+        radii, centers = facet_balls(X, cells[k], facets, radii, centers)
+        values.append(np.maximum(radii, values[-1][facets].max(axis=1)))
+    return np.concatenate(values)
 
 
 def full_ambient_cech(points, d: int) -> FilteredComplex:
@@ -648,7 +668,7 @@ def _monotone_snap(cells, values) -> np.ndarray:
 
     ``cells`` and ``values`` are as ``make_filtered_complex`` takes them.
     Enclosing-ball radii are monotone under inclusion in exact arithmetic;
-    this removes the epsilon-scale violations the solver can introduce.
+    this removes the epsilon-scale violations Welzl's solver can introduce.
     """
     out = np.array(values, dtype=float)
     parts = np.split(out, np.cumsum([len(c) for c in cells])[:-1])

@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from sparsenerve.cli import main
+from sparsenerve.cli import FORMATS, MODES, main
 from sparsenerve.model import TranslationFunction
 from sparsenerve.nerve import skeleton_size
 
@@ -134,6 +136,28 @@ class TestPh:
         path.write_text("a b c\n")
         assert main(["ph", "--input", str(path)]) == 1
 
+    @pytest.mark.parametrize("flags", [[], ["--format", "graph", "--mode", "network"]])
+    def test_binary_file_exit_1(self, tmp_path, capsys, flags):
+        path = tmp_path / "bin.dat"
+        path.write_bytes(bytes(np.random.default_rng(0).integers(0, 256, 200, dtype=np.uint8)))
+        assert main(["ph", "--input", str(path), *flags]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: not a text file")
+
+    @pytest.mark.parametrize("mode", ["intrinsic", "ambient"])
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_out_of_range_cloud_exit_1(self, tmp_path, capsys, mode, scale):
+        path = tmp_path / "pts.txt"
+        np.savetxt(path, scale * np.random.default_rng(0).normal(size=(30, 2)))
+        assert main(["ph", "--input", str(path), "--mode", mode]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: coordinate spread") and "rescale" in err
+
+    def test_huge_node_id_exit_2(self, tmp_path):
+        # The node count exceeds the budget before the n x n matrix is built.
+        path = tmp_path / "g.txt"
+        path.write_text("0 1e300\n")
+        assert main(["ph", "--input", str(path), "--format", "graph", "--mode", "network"]) == 2
+
     def test_mode_format_mismatch_exit_1(self, square_file):
         rc = main(
             ["ph", "--input", str(square_file), "--mode", "network"]
@@ -224,6 +248,30 @@ class TestPh:
         monkeypatch.setenv("SPARSENERVE_MAX_SIMPLICES", "5")
         assert main(["ph", "--input", str(square_file)]) == 2
         assert main(["ph", "--input", str(square_file), "--max-simplices", "1000"]) == 0
+
+
+class TestHostileFiles:
+    # A small budget keeps every accepted input cheap: at most 500 nodes
+    # for a graph's dense matrix, and small nerves for the rest.
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        content=st.one_of(
+            st.binary(max_size=200),
+            st.text(alphabet="0123456789 \t\n,.-+eEinfa#", max_size=200).map(str.encode),
+        )
+    )
+    def test_any_file_exits_cleanly(self, tmp_path, content):
+        path = tmp_path / "input.dat"
+        path.write_bytes(content)
+        runs = [["--format", f, "--mode", m] for f in FORMATS for m in MODES]
+        runs += [["--format", "graph", "--mode", "network", "--network-mode", "raw-weight"]]
+        for flags in runs:
+            argv = ["ph", "--input", str(path), *flags, "--max-simplices", "500"]
+            assert main(argv) in (0, 1, 2)
 
 
 class TestBenchmark:

@@ -63,6 +63,28 @@ class TestPointCloudFiles:
         with pytest.raises(InputValidationError):
             read_point_cloud(path)
 
+    def test_binary_file_names_path(self, tmp_path):
+        path = tmp_path / "pts.dat"
+        path.write_bytes(bytes(range(128, 256)))
+        with pytest.raises(InputValidationError, match="pts.dat: not a text file"):
+            read_point_cloud(path)
+
+
+class TestPointCloudRange:
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_spread_outside_float_range_rejected(self, scale):
+        points = scale * np.random.default_rng(0).normal(size=(30, 2))
+        with pytest.raises(InputValidationError, match="rescale"):
+            PointCloud(points)
+
+    @pytest.mark.parametrize("spread", [2.0**-500, 2.0**500])
+    def test_spread_at_the_bounds_accepted(self, spread):
+        cloud = PointCloud(np.array([[0.0, 1.0], [spread, 1.0]]))
+        assert distance_matrix(cloud).values[0, 1] == spread
+
+    def test_coincident_points_accepted(self):
+        assert len(PointCloud(np.full((3, 2), 1e300))) == 3
+
 
 class TestDistanceMatrixFiles:
     def test_round_trip_with_inf(self, tmp_path):
@@ -103,6 +125,13 @@ class TestEdgeListFiles:
         path = tmp_path / "g.txt"
         path.write_text("0.5 1 2\n")
         with pytest.raises(InputValidationError):
+            read_edge_list(path)
+
+    @pytest.mark.parametrize("line", ["inf 1\n", "0 nan\n", "0 -inf 2\n"])
+    def test_nonfinite_node_rejected(self, tmp_path, line):
+        path = tmp_path / "g.txt"
+        path.write_text(line)
+        with pytest.raises(InputValidationError, match="integers"):
             read_edge_list(path)
 
     def test_self_loop_rejected(self):

@@ -4,11 +4,12 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsenerve.miniball import enclosing_radii, miniball
 from sparsenerve.model import InputValidationError
+from sparsenerve.nerve import _combinations, _facets, _sorted_keys, ambient_radii
 
 
 class TestMiniball:
@@ -86,21 +87,23 @@ class TestMiniball:
         assert np.all(np.linalg.norm(pts - center, axis=1) <= radius + 1e-9 * (1 + radius))
 
 
-KINDS = ("grid", "float", "duplicate", "collinear", "cocircular", "needle")
+KINDS = ("grid", "float", "duplicate", "collinear", "cocircular", "needle", "jitter")
 
 
 @st.composite
-def point_sets(draw, kinds=KINDS):
-    """k <= 4 points in R^D, D <= 4, with exact degeneracies, at a random scale.
+def point_sets(draw, kinds=KINDS, max_points=4):
+    """k <= max_points points in R^D, D <= 4, with degeneracies, at a random scale.
 
     Grid points repeat and line up; ``duplicate`` copies one point onto
     another, ``collinear`` puts all points on one line, ``cocircular``
     on one circle in a coordinate plane, and ``needle`` spaces all points
     but one evenly on a unit circle (a segment for D = 2) and puts that one
     up to 1e5 away above its center, so that the edges from the apex are
-    nearly parallel.
+    nearly parallel.  ``jitter`` moves grid points by a few times 1e-9,
+    about the containment tolerance, so that near-duplicate and
+    near-collinear sets are held or missed by a hair.
     """
-    D, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    D, k = draw(st.integers(1, 4)), draw(st.integers(1, max_points))
     scale = 10.0 ** draw(st.floats(-3, 3))
     grid = st.integers(-3, 3)
     kind = draw(st.sampled_from(kinds))
@@ -109,7 +112,10 @@ def point_sets(draw, kinds=KINDS):
     else:
         X = np.array(draw(st.lists(grid, min_size=k * D, max_size=k * D)), dtype=float)
     X = X.reshape(k, D)
-    if kind == "duplicate":
+    if kind == "jitter":
+        steps = draw(st.lists(st.integers(-3, 3), min_size=k * D, max_size=k * D))
+        X += 1e-9 * np.array(steps).reshape(k, D)
+    elif kind == "duplicate":
         i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
         X[i] = X[j]
     elif kind == "collinear":
@@ -149,9 +155,11 @@ class TestEnclosingRadii:
         k = X.shape[0]
         rows = np.array([np.arange(k), np.arange(k)[::-1]])
         expected = miniball(X)[1]
-        for r in enclosing_radii(X, rows):
+        radii, centers = enclosing_radii(X, rows)
+        for r, c in zip(radii, centers):
             assert np.isfinite(r)
             assert abs(r - expected) <= 1e-9 * (1 + expected)
+            assert np.all(np.linalg.norm(X - c, axis=1) <= r + 1e-9 * (1 + r))
 
     def test_needle_tetrahedron(self):
         # A far apex over a unit triangle: not flat, but its edge vectors
@@ -164,7 +172,7 @@ class TestEnclosingRadii:
         expected = miniball(X)[1]
         assert expected == pytest.approx(500.0 + 1 / 6000, rel=1e-12)
         rows = np.array([[0, 1, 2, 3], [1, 2, 3, 0], [3, 2, 1, 0]])
-        assert enclosing_radii(X, rows) == pytest.approx([expected] * 3, rel=1e-12)
+        assert enclosing_radii(X, rows)[0] == pytest.approx([expected] * 3, rel=1e-12)
 
     def test_batch_of_subsets(self, monkeypatch):
         # A small batch size makes every cardinality span several batches.
@@ -174,7 +182,72 @@ class TestEnclosingRadii:
         for k in range(1, 6):
             simplices = np.array(list(combinations(range(9), k)))
             expected = [miniball(X[s])[1] for s in simplices]
-            assert enclosing_radii(X, simplices) == pytest.approx(expected, abs=1e-12)
+            assert enclosing_radii(X, simplices)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_empty_batch(self):
-        assert enclosing_radii(np.zeros((3, 2)), np.zeros((0, 2), dtype=int)).shape == (0,)
+        radii, centers = enclosing_radii(np.zeros((3, 2)), np.zeros((0, 2), dtype=int))
+        assert radii.shape == (0,) and centers.shape == (0, 2)
+
+
+def check_skeleton_against_welzl(X):
+    """ambient_radii on every vertex set of X up to cardinality 5 against miniball."""
+    cells = [_combinations(X.shape[0], k) for k in range(1, min(X.shape[0], 5) + 1)]
+    values = ambient_radii(X, cells)
+    parts = np.split(values, np.cumsum([len(c) for c in cells])[:-1])
+    for rows, got in zip(cells, parts):
+        for row, r in zip(rows, got):
+            expected = miniball(X[row])[1]
+            assert abs(r - expected) <= 1e-9 * (1 + expected), (row, r, expected)
+    n = X.shape[0]
+    for k in range(1, len(cells)):
+        facets = _facets(cells[k], _sorted_keys(cells[k - 1], n), n)
+        assert np.all(parts[k] >= parts[k - 1][facets].max(axis=1))
+
+
+class TestAmbientRadii:
+    @settings(max_examples=300, deadline=None)
+    @given(X=point_sets(max_points=7))
+    # A near-collinear triple: a smaller facet ball holds the fourth vertex
+    # by a hair, the largest one misses it, and the triple's own circumball
+    # has a radius of about 1e9.
+    @example(X=np.array([[-1, -1, -1], [-1, 0, -1], [0, 1, 0], [-1, 1, -1]])
+             + 1e-9 * np.array([[0, 3, -1], [0, -2, -1], [-2, -3, 2], [-1, 3, -1]]))
+    def test_skeleton_matches_welzl(self, X):
+        check_skeleton_against_welzl(X)
+
+    @settings(max_examples=100, deadline=None)
+    @given(X=point_sets(kinds=("needle", "cocircular", "duplicate", "jitter"), max_points=7))
+    def test_degenerate_skeleton_matches_welzl(self, X):
+        check_skeleton_against_welzl(X)
+
+    def test_fallback_rows_match_welzl(self, monkeypatch):
+        # Spoil the own circumball of every other row so that those rows go
+        # to the all-subsets search, and check that their balls, carried up
+        # to their cofaces, still give Welzl's radii.
+        mb = importlib.import_module("sparsenerve.miniball")
+        circumballs, search = mb._circumballs, mb.enclosing_radii
+        searched = []  # rows per search
+        searching = []  # non-empty inside a search, which builds true balls
+
+        def spoiled(Q):
+            center, radius = circumballs(Q)
+            if not searching:
+                center = center.copy()
+                center[::2] = np.nan
+            return center, radius
+
+        def counted(X, simplices):
+            searched.append(len(simplices))
+            searching.append(True)
+            try:
+                return search(X, simplices)
+            finally:
+                searching.pop()
+
+        monkeypatch.setattr(mb, "_circumballs", spoiled)
+        monkeypatch.setattr(mb, "enclosing_radii", counted)
+        monkeypatch.setattr(mb, "CHUNK", 5)
+        rng = np.random.default_rng(6)
+        for D in (2, 3):
+            check_skeleton_against_welzl(rng.normal(size=(7, D)))
+        assert sum(searched) > 0
