@@ -7,9 +7,9 @@ witnesses, the cover matrix is
 
 for l in L2 and l' in L1, with rho(l, l') = 0 when the set is empty.  The
 single-argument form uses Lambda1 = Lambda2.  Runs in O(|L1| * |L2| * |W|),
-one column per row of Lambda1.  The pipeline never builds the full square
-matrix: farthest-point sampling asks for one column at a time, restricted to
-the rows whose entry could still matter.
+one column per row of Lambda1 (``cover_column``).  The pipeline never builds
+the full square matrix: farthest-point sampling asks for one column at a
+time, restricted to the rows whose entry could still matter.
 """
 
 from __future__ import annotations
@@ -35,6 +35,17 @@ def cover_matrix(lambda1, lambda2=None) -> np.ndarray:
         )
     rho = np.zeros((a2.shape[0], a1.shape[0]))
     for lp, row in enumerate(a1):
-        # Masked values are > Lambda2(l, w) >= 0, so 0 is a safe empty-set fill.
-        rho[:, lp] = np.where(a2 < row, row, 0.0).max(axis=1)
+        rho[:, lp] = cover_column(row, a2)
     return rho
+
+
+def cover_column(row: np.ndarray, lambda2: np.ndarray) -> np.ndarray:
+    """Column l' of the cover matrix, given ``row`` = Lambda1(l', .).
+
+    Entry l is the largest ``row[w]`` over witnesses w with
+    ``lambda2[l, w] < row[w]``, or 0.  Takes float arrays that
+    ``as_extended_matrix`` has already accepted, with matching witness
+    counts, and checks nothing.
+    """
+    # Masked values are > Lambda2(l, w) >= 0, so 0 is a safe empty-set fill.
+    return np.where(lambda2 < row, row, 0.0).max(axis=1)

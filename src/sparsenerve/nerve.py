@@ -1,11 +1,11 @@
 """Sparse nerve construction: slope points, maximal faces, filtered skeletons.
 
 The sparse nerve of a truncated dissimilarity Gamma with restriction times R
-is built from maximal faces emitted per (landmark, witness) pair and expanded
-into a (d+1)-skeleton.  The intrinsic and the ambient mode share that
-pipeline and differ only in the filtration values: min-max values from the
-original Lambda, v(sigma) = min over w of max over l in sigma of
-Lambda(l, w), or smallest-enclosing-ball radii of the points.
+is built from maximal faces emitted once per (restriction time, witness)
+pair and expanded into a (d+1)-skeleton.  The intrinsic and the ambient
+mode share that pipeline and differ only in the filtration values: min-max
+values from the original Lambda, v(sigma) = min over w of max over l in
+sigma of Lambda(l, w), or smallest-enclosing-ball radii of the points.
 
 Simplices are stored as integer arrays, one per cardinality k: an (m, k)
 array of strictly increasing vertex rows.  A row is looked up by its
@@ -36,9 +36,16 @@ from .model import (
 from .sparsify import restriction_times
 from .truncation import truncation_result
 
-# Cells (uint64 words or floats) of the working buffer in the chunked loops
-# of maximal_faces and filtration_values; 512 KiB stays in cache.
+# Working buffer of the chunked loops of maximal_faces and filtration_values,
+# in 8-byte cells: 512 KiB stays in cache.  filtration_values' rank codes are
+# narrower, so its buffer holds proportionally more of them.
 _CHUNK_CELLS = 1 << 16
+
+# Row gathers per landmark above which filtration_values runs on rank codes.
+# Ranking sorts all of Lambda once; the narrower codes save a share of every
+# gather.  Measured break-even on Clifford tori of 200-800 points: 60-120
+# (torus_fine gathers 225 per landmark, its mult:3 cloud 9).
+_RANK_GATHERS = 100
 
 # Subsets per block of expand_skeleton's deduplication: each block's keys
 # are sorted and deduplicated on their own, so the copies of a subset that
@@ -162,6 +169,20 @@ def _lex_descents(rows: np.ndarray) -> np.ndarray:
     step = rows[1:] - rows[:-1]
     first = np.argmax(step != 0, axis=1)
     return step[np.arange(len(step)), first] < 0
+
+
+@dataclass(frozen=True)
+class Faces:
+    """Faces grouped by size, as ``maximal_faces`` returns them.
+
+    ``rows`` holds one (f, m) int64 array per face size m, largest size
+    first, each row a strictly increasing vertex row; ``len`` counts faces.
+    """
+
+    rows: tuple
+
+    def __len__(self):
+        return sum(map(len, self.rows))
 
 
 @dataclass(frozen=True)
@@ -350,7 +371,7 @@ def slope_points(phi: ParentFunction, R: RestrictionTimes) -> frozenset:
     return frozenset(slope)
 
 
-def maximal_faces(gamma, R: RestrictionTimes, S: frozenset) -> list:
+def maximal_faces(gamma, R: RestrictionTimes, S: frozenset) -> Faces:
     """Candidate maximal faces of the sparse nerve, deduplicated.
 
     For each (l, w) with Gamma(l, w) <= R(l), the face contains every l' with
@@ -358,12 +379,16 @@ def maximal_faces(gamma, R: RestrictionTimes, S: frozenset) -> list:
     a slope point — Gamma(l', w) strictly below R(l').  Exact duplicates and
     faces contained in another emitted face are dropped.
 
-    Each face is emitted as its membership row packed into bytes, one block
-    of witnesses per landmark.  Exact duplicates go in one ``np.unique`` over
-    those rows.  For containment, each vertex gets a bitset over the
-    distinct faces: the AND of a face's vertex bitsets marks the faces that
-    contain it, and the face is kept iff that is itself alone.  Faces come
-    back largest first, ties in order of first emission.
+    The face of (l, w) depends on l only through R(l), so each (R(l), w)
+    is emitted once, at its first landmark: a landmark that shares its
+    time with earlier ones, as the never-restricted ones share R = inf,
+    emits only the witnesses they did not.  Each face is emitted as its
+    membership row packed into bytes, one block of witnesses per landmark.
+    Exact duplicates go in one ``np.unique`` over those rows.  For
+    containment, each vertex gets a bitset over the distinct faces: the AND
+    of a face's vertex bitsets marks the faces that contain it, and the
+    face is kept iff that is itself alone.  Faces come back largest first,
+    ties in order of first emission.
     """
     g = as_extended_matrix(gamma)
     times = R.times
@@ -373,16 +398,23 @@ def maximal_faces(gamma, R: RestrictionTimes, S: frozenset) -> list:
     ok = np.isfinite(g) & (~s_mask[:, None] | (g < times[:, None]))
     # (w, l'): Gamma where l' may join a face at w, NaN (never <=) elsewhere.
     joins = np.where(ok, g, np.nan).T.copy()
+    _, level, count = np.unique(times, return_inverse=True, return_counts=True)
+    # A time that several landmarks share -> its witnesses not emitted yet.
+    fresh = {}
 
     rows = []
     for l in range(n):
         rl = times[l]
         ws = np.flatnonzero(g[l] <= rl)
+        if count[level[l]] > 1:
+            left = fresh.setdefault(level[l], np.ones(g.shape[1], dtype=bool))
+            ws = ws[left[ws]]
+            left[ws] = False
         rows.append(np.packbits((joins[ws] <= rl) & (times >= rl), axis=1))
     rows = np.concatenate(rows)
     rows = rows[rows.any(axis=1)]
     if not rows.size:
-        return []
+        return Faces(())
     keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
     _, first = np.unique(keys, return_index=True)
     size = np.bitwise_count(rows[first]).sum(axis=1, dtype=np.intp)
@@ -390,9 +422,10 @@ def maximal_faces(gamma, R: RestrictionTimes, S: frozenset) -> list:
     rows, size = rows[first[order]], size[order]
 
     # (face, vertex) pairs, read off the set bits of each nonzero byte.
-    face, byte = np.nonzero(rows)
-    hit, bit = np.nonzero(np.unpackbits(rows[face, byte][:, None], axis=1))
-    face, vertex = face[hit], 8 * byte[hit] + bit
+    at = np.flatnonzero(rows)
+    bits = np.flatnonzero(np.unpackbits(rows.ravel()[at]))
+    face, byte = np.divmod(at[bits >> 3], rows.shape[1])
+    vertex = 8 * byte + (bits & 7)
     n_faces = len(size)
     verts = np.full((n_faces, size[0]), n)
     verts[face, np.arange(face.size) - np.repeat(np.cumsum(size) - size, size)] = vertex
@@ -416,7 +449,12 @@ def maximal_faces(gamma, R: RestrictionTimes, S: frozenset) -> list:
         for j in range(1, v.shape[1]):
             acc &= incidence[v[:, j], :words]
         keep[start:stop] = np.bitwise_count(acc).sum(axis=1) == 1
-    return [frozenset(f[:k]) for f, k in zip(verts[keep].tolist(), size[keep].tolist())]
+    verts, size = verts[keep], size[keep]
+    # Sizes do not increase down the rows: cut where they drop.
+    cuts = np.flatnonzero(size[1:] != size[:-1]) + 1
+    return Faces(tuple(
+        b[:, :m].copy() for b, m in zip(np.split(verts, cuts), size[np.r_[0, cuts]])
+    ))
 
 
 def filtration_values(lam, cells) -> np.ndarray:
@@ -427,22 +465,37 @@ def filtration_values(lam, cells) -> np.ndarray:
     takes the running maximum of their vertices' Lambda rows in one
     (chunk, |W|) buffer, then the minimum over witnesses.  max and min are
     exact, so the values do not depend on the chunking or the vertex order.
+
+    When the rows gather Lambda's rows more than ``_RANK_GATHERS`` times
+    per landmark, the loop runs on rank codes: one ``np.unique`` maps each
+    entry to its rank among Lambda's distinct entries, in the smallest
+    unsigned dtype that holds them, and the minima are looked up in the
+    table of distinct values.  Ranking is strictly increasing, so it
+    commutes with max and min: the values are Lambda's own entries, bit
+    for bit, either way.  The codes move a quarter (uint16) or half
+    (uint32) of float64's bytes, which repays the sort only on a
+    long enough loop.
     """
     lam = as_extended_matrix(lam)
-    chunk = max(1, _CHUNK_CELLS // max(1, lam.shape[1]))
-    values = [np.empty(0)]
+    table, codes = None, lam
+    if sum(c.size for c in cells) > _RANK_GATHERS * lam.shape[0]:
+        table, codes = np.unique(lam, return_inverse=True)
+        codes = codes.reshape(lam.shape).astype(np.min_scalar_type(len(table) - 1))
+    chunk = max(1, _CHUNK_CELLS * 8 // (codes.itemsize * max(1, lam.shape[1])))
+    out = [np.empty(0, codes.dtype)]
     for verts in cells:
-        out = np.empty(len(verts))
-        acc = np.empty((min(chunk, len(verts)), lam.shape[1]))
+        low = np.empty(len(verts), codes.dtype)
+        acc = np.empty((min(chunk, len(verts)), lam.shape[1]), codes.dtype)
         for start in range(0, len(verts), chunk):
             v = verts[start : start + chunk]
             a = acc[: len(v)]
-            np.take(lam, v[:, 0], axis=0, out=a)
+            np.take(codes, v[:, 0], axis=0, out=a)
             for j in range(1, v.shape[1]):
-                np.maximum(a, lam[v[:, j]], out=a)
-            out[start : start + chunk] = a.min(axis=1)
-        values.append(out)
-    return np.concatenate(values)
+                np.maximum(a, codes[v[:, j]], out=a)
+            a.min(axis=1, out=low[start : start + chunk])
+        out.append(low)
+    out = np.concatenate(out)
+    return out if table is None else table[out]
 
 
 def skeleton_size(n: int, d: int) -> int:
@@ -450,7 +503,7 @@ def skeleton_size(n: int, d: int) -> int:
     return sum(math.comb(n, k) for k in range(1, d + 3))
 
 
-def expand_skeleton(faces, d: int, max_simplices=None) -> Skeleton:
+def expand_skeleton(faces: Faces, d: int, max_simplices=None) -> Skeleton:
     """All subsets of the faces with cardinality <= d+2, deduplicated.
 
     Faces of one size are expanded together through a table of index
@@ -465,22 +518,19 @@ def expand_skeleton(faces, d: int, max_simplices=None) -> Skeleton:
     the union does.
     """
     cap = d + 2
-    by_size = {}
-    for f in faces:
-        by_size.setdefault(len(f), []).append(list(f))
     if max_simplices is not None:
-        for m in by_size:
+        for block in faces.rows:
+            m = block.shape[1]
             lower = sum(math.comb(m, k) for k in range(1, min(m, cap) + 1))
             if lower > max_simplices:
                 raise SizeLimitError(lower, max_simplices)
-    by_size = {m: np.sort(np.array(f, dtype=np.int64), axis=1) for m, f in by_size.items()}
-    n = _vertex_bound(by_size.values())
+    n = _vertex_bound(faces.rows)
 
     cells = []
     total = 0
     for k in range(1, cap + 1):
         runs, pending = [], 0  # runs[0] is the union so far, the rest pending
-        for keys in _subset_keys(by_size, k, n):
+        for keys in _subset_keys(faces.rows, k, n):
             runs.append(_sorted_unique(keys))
             pending += len(runs[-1]) if len(runs) > 1 else 0
             if pending > len(runs[0]):
@@ -498,15 +548,16 @@ def expand_skeleton(faces, d: int, max_simplices=None) -> Skeleton:
     return Skeleton(tuple(cells))
 
 
-def _subset_keys(by_size: dict, k: int, n: int):
+def _subset_keys(rows: tuple, k: int, n: int):
     """Yield keys of the k-subsets of the faces, in blocks of about ``_BLOCK_KEYS``.
 
-    ``by_size`` maps a face size m to an (f, m) array of sorted faces.  A
+    ``rows`` holds (f, m) arrays of sorted faces, as in ``Faces``.  A
     block pools the subsets of faces of several sizes until it reaches
     ``_BLOCK_KEYS``, so no block holds more than twice that many.
     """
     parts, size = [], 0
-    for m, faces in by_size.items():
+    for faces in rows:
+        m = faces.shape[1]
         if m < k:
             continue
         table = _combinations(m, k)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cover import cover_matrix
+from .cover import cover_column, cover_matrix
 from .model import (
     INF,
     DowkerDissimilarity,
@@ -62,7 +62,9 @@ def farthest_point_sampling(
     the supremum defining rho(l, l') whenever r(l) < Lambda(l', h(l)), so
     rho(l, l') >= Lambda(l', h(l)) then and >= 0 always.  A point whose
     bound already reaches d(l) keeps its distance and its parent, so only
-    the other points get their entry computed.
+    the other points get their entry computed.  The initial point's full
+    column comes from ``cover_matrix``; each later one from
+    ``cover_column`` directly, on the arrays validated on entry.
     """
     lam = as_extended_matrix(lam)
     alpha_lam = as_extended_matrix(alpha_lam)
@@ -95,7 +97,7 @@ def farthest_point_sampling(
         cand = np.flatnonzero(bound < d)
         if cand.size == 0:
             continue
-        col = cover_matrix(lam[li : li + 1], alpha_lam[cand])[:, 0]
+        col = cover_column(lam[li], alpha_lam[cand])
         near = d[cand]
         parent[cand[col < near]] = li
         d[cand] = np.minimum(near, col)

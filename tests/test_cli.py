@@ -1,13 +1,31 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import sparsenerve
 from sparsenerve.cli import FORMATS, MODES, main
 from sparsenerve.model import TranslationFunction
 from sparsenerve.nerve import skeleton_size
+
+
+SRC = str(Path(sparsenerve.__file__).resolve().parent.parent)
+
+# Runs ph on a graph file and prints the process's peak RSS in KiB (Linux).
+PEAK_RSS = """
+import resource, sys
+from sparsenerve.cli import main
+argv = ["ph", "--input", sys.argv[1], "--format", "graph", "--mode", "network",
+        "--out-diagram", sys.argv[2]]
+assert main(argv) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
 
 
 @pytest.fixture
@@ -157,6 +175,24 @@ class TestPh:
         path = tmp_path / "g.txt"
         path.write_text("0 1e300\n")
         assert main(["ph", "--input", str(path), "--format", "graph", "--mode", "network"]) == 2
+
+    def test_isolated_nodes_stay_small(self, tmp_path):
+        # Nodes 1..798 have no edge, so they and node 0 are never
+        # restricted: 799 landmarks share R = inf.  Emitting each face once
+        # per (R, witness) keeps the packed face rows at one per witness;
+        # one block per landmark took 273 MiB here.  The peak is the
+        # process's own, so the run gets a fresh interpreter.
+        path = tmp_path / "g.txt"
+        path.write_text("0 799\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS, str(path), str(tmp_path / "dgm.csv")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        peak_mib = int(done.stdout.split()[-1]) / 1024
+        assert peak_mib < 160
 
     def test_mode_format_mismatch_exit_1(self, square_file):
         rc = main(

@@ -67,13 +67,13 @@ class TestMaximalFaces:
         phi = ParentFunction(parent=[0])
         R = RestrictionTimes(times=np.array([INF]), tree=phi)
         faces = maximal_faces(np.zeros((1, 1)), R, frozenset({0}))
-        assert faces == [frozenset({0})]
+        assert _face_sets(faces) == [frozenset({0})]
 
     def test_infinite_gamma_gives_singletons(self):
         phi = ParentFunction(parent=[0, 0])
         R = RestrictionTimes(times=np.array([INF, INF]), tree=phi)
         gamma = np.array([[0.0, INF], [INF, 0.0]])
-        faces = maximal_faces(gamma, R, frozenset({0, 1}))
+        faces = _face_sets(maximal_faces(gamma, R, frozenset({0, 1})))
         assert sorted(faces, key=sorted) == [frozenset({0}), frozenset({1})]
 
     def test_subset_dominated_faces_dropped(self, rng):
@@ -81,13 +81,28 @@ class TestMaximalFaces:
         result = sparse_dowker_nerve(
             DowkerDissimilarity(lam), TranslationFunction.identity(), 1
         )
-        faces = maximal_faces(
+        faces = _face_sets(maximal_faces(
             result.gamma.values,
             result.restriction,
             slope_points(result.phi, result.restriction),
-        )
+        ))
         for f in faces:
             assert not any(f < g for g in faces if g is not f)
+
+
+def _face_sets(faces):
+    """The rows of a ``Faces`` record as frozensets, in order, as the oracle lists them."""
+    return [frozenset(row) for rows in faces.rows for row in rows.tolist()]
+
+
+def _faces(sets):
+    """A ``Faces`` record of vertex sets: one sorted array per size, largest first."""
+    by_size = {}
+    for f in sets:
+        by_size.setdefault(len(f), []).append(sorted(f))
+    return nerve.Faces(tuple(
+        np.array(by_size[m], dtype=np.int64) for m in sorted(by_size, reverse=True)
+    ))
 
 
 def _quadratic_maximal_faces(gamma, times, S):
@@ -122,19 +137,19 @@ def _quadratic_maximal_faces(gamma, times, S):
 
 
 @st.composite
-def face_inputs(draw):
+def face_inputs(draw, max_rows=7, time_values=(0.0, 1.0, 2.0, 3.0, INF)):
     """Rectangular integer Gamma with ties and inf, restriction times, slope set."""
-    rows = draw(st.integers(1, 7))
-    cols = draw(st.integers(1, 8).filter(lambda c: c != rows))
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_rows + 1).filter(lambda c: c != rows))
     entries = st.sampled_from([0.0, 1.0, 1.0, 2.0, 3.0, INF])
     gamma = np.reshape(
         draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols)), (rows, cols)
     )
-    gamma[draw(st.lists(st.integers(0, rows - 1), max_size=2))] = INF
+    gamma[draw(st.lists(st.integers(0, rows - 1), max_size=max_rows // 3))] = INF
     parent = [0] + [draw(st.integers(0, i - 1)) for i in range(1, rows)]
     times = [INF]
     for i in range(1, rows):
-        t = draw(st.sampled_from([0.0, 1.0, 2.0, 3.0, INF]))
+        t = draw(st.sampled_from(time_values))
         times.append(min(t, times[parent[i]]))
     R = RestrictionTimes(times=np.array(times), tree=ParentFunction(parent=parent))
     S = frozenset(draw(st.sets(st.integers(0, rows - 1))))
@@ -147,7 +162,17 @@ class TestMaximalFacesOracle:
     def test_matches_quadratic_filter(self, case, chunk):
         gamma, R, S = case
         with mock.patch.object(nerve, "_CHUNK_CELLS", chunk):
-            faces = maximal_faces(gamma, R, S)
+            faces = _face_sets(maximal_faces(gamma, R, S))
+        assert faces == _quadratic_maximal_faces(gamma, R.times, S)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=face_inputs(max_rows=14, time_values=(1.0, INF, INF)))
+    def test_shared_restriction_times(self, case):
+        # Many landmarks share each time, most of them R = inf, and whole
+        # rows are inf as for isolated graph nodes: a face emitted once per
+        # (R(l), w) must still come out in first-emission order.
+        gamma, R, S = case
+        faces = _face_sets(maximal_faces(gamma, R, S))
         assert faces == _quadratic_maximal_faces(gamma, R.times, S)
 
     @pytest.mark.parametrize("n", [1, 3])
@@ -158,7 +183,7 @@ class TestMaximalFacesOracle:
         )
         gamma = np.full((n, n + 2), INF)
         assert _quadratic_maximal_faces(gamma, R.times, frozenset()) == []
-        assert maximal_faces(gamma, R, frozenset()) == []
+        assert _face_sets(maximal_faces(gamma, R, frozenset())) == []
 
     @pytest.mark.parametrize("alpha", ["mult:1.5", "mult:3"])
     def test_torus_matches_quadratic_filter(self, alpha):
@@ -173,7 +198,7 @@ class TestMaximalFacesOracle:
         oracle = _quadratic_maximal_faces(result.gamma.values, R.times, S)
         for chunk in (64, 1 << 16):
             with mock.patch.object(nerve, "_CHUNK_CELLS", chunk):
-                assert maximal_faces(result.gamma.values, R, S) == oracle
+                assert _face_sets(maximal_faces(result.gamma.values, R, S)) == oracle
 
 
 class TestFilteredComplex:
@@ -246,22 +271,22 @@ class TestSkeletonSize:
 
 class TestExpandSkeleton:
     def test_expansion(self):
-        s = expand_skeleton([frozenset({0, 1, 2})], 1)
+        s = expand_skeleton(_faces([frozenset({0, 1, 2})]), 1)
         assert len(s) == 7
         assert _rows_of(s) == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
 
     def test_budget_enforced(self):
         with pytest.raises(SizeLimitError):
-            expand_skeleton([frozenset(range(40))], 10, max_simplices=1000)
+            expand_skeleton(_faces([frozenset(range(40))]), 10, max_simplices=1000)
 
     @pytest.mark.parametrize("block", [1, 1 << 16])
     def test_budget_counts_the_union(self, block):
         # Ten disjoint triangles: 7 simplices each at d = 1, 70 in all.
         faces = [frozenset({3 * i, 3 * i + 1, 3 * i + 2}) for i in range(10)]
         with mock.patch.object(nerve, "_BLOCK_KEYS", block):
-            assert len(expand_skeleton(faces * 3, 1, max_simplices=70)) == 70
+            assert len(expand_skeleton(_faces(faces * 3), 1, max_simplices=70)) == 70
             with pytest.raises(SizeLimitError):
-                expand_skeleton(faces, 1, max_simplices=69)
+                expand_skeleton(_faces(faces), 1, max_simplices=69)
 
 
 def _rows_of(skeleton):
@@ -299,7 +324,7 @@ def _tied_values(simplices, seed):
 
 
 def _check_against_oracle(faces, d, seed):
-    skeleton = expand_skeleton(faces, d)
+    skeleton = expand_skeleton(_faces(faces), d)
     oracle = _set_expansion(faces, d)
     assert len(skeleton) == len(oracle)
     assert _rows_of(skeleton) == sorted(oracle, key=lambda s: (len(s), s))
@@ -590,14 +615,36 @@ class TestFiltrationValues:
         lam=tied_dowker_matrices(),
         data=st.data(),
         chunk=st.sampled_from([1, 3, 7, 1 << 16]),
+        rank_gathers=st.sampled_from([0, 1 << 30]),
     )
-    def test_matches_grouped_max_min(self, lam, data, chunk):
+    def test_matches_grouped_max_min(self, lam, data, chunk, rank_gathers):
+        # rank_gathers 0 always takes the rank codes, 1 << 30 never.
         vertex_sets = st.lists(
             st.integers(0, lam.shape[0] - 1), min_size=1, max_size=4, unique=True
         ).map(tuple)
         drawn = data.draw(st.lists(vertex_sets, max_size=40))
         cells = [np.array([s for s in drawn if len(s) == k]).reshape(-1, k) for k in range(1, 5)]
-        with mock.patch.object(nerve, "_CHUNK_CELLS", chunk):
+        with (
+            mock.patch.object(nerve, "_CHUNK_CELLS", chunk),
+            mock.patch.object(nerve, "_RANK_GATHERS", rank_gathers),
+        ):
             values = filtration_values(lam, cells)
         simplices = [tuple(row) for c in cells for row in c.tolist()]
-        assert np.array_equal(values, _grouped_max_min(lam, simplices))
+        # Bit for bit: the rank codes give back Lambda's own entries.
+        assert values.dtype == np.float64
+        assert values.tobytes() == _grouped_max_min(lam, simplices).tobytes()
+
+    @pytest.mark.parametrize("distinct", [65_536, 65_537, 90_000])
+    def test_wide_codes(self, distinct):
+        # 65,536 distinct values is the most uint16 codes hold; above it the
+        # codes are uint32.  One of the values is inf.
+        rng = np.random.default_rng(distinct)
+        cols = -(-distinct // 6)
+        values = np.append(rng.permutation(distinct - 1) / 7, INF)
+        lam = rng.permutation(np.resize(values, 6 * cols)).reshape(6, cols)
+        assert len(np.unique(lam)) == distinct
+        cells = [nerve._combinations(6, k) for k in range(1, 5)]
+        simplices = [tuple(row) for c in cells for row in c.tolist()]
+        expected = _grouped_max_min(lam, simplices)
+        with mock.patch.object(nerve, "_RANK_GATHERS", 0):
+            assert filtration_values(lam, cells).tobytes() == expected.tobytes()

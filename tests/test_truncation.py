@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsenerve import truncation
-from sparsenerve.cover import cover_matrix
+from sparsenerve import cover, truncation
+from sparsenerve.cover import cover_column, cover_matrix
 from sparsenerve.ingest import distance_matrix, sample_clifford_torus
 from sparsenerve.model import (
     INF,
@@ -119,18 +119,21 @@ class TestFarthestPointSampling:
 
     def test_computes_few_cover_entries(self, monkeypatch):
         # Skipping an entry never changes the result, so only a count
-        # shows whether the lower bound still prunes.
+        # shows whether the lower bound still prunes.  Every entry, the
+        # initial column's through cover_matrix included, comes from
+        # cover_column.
         lam = distance_matrix(sample_clifford_torus(300, 0)).values
         computed = []
 
-        def counting_cover_matrix(*args):
-            rho = cover_matrix(*args)
-            computed.append(rho.size)
-            return rho
+        def counting_cover_column(*args):
+            col = cover_column(*args)
+            computed.append(col.size)
+            return col
 
-        monkeypatch.setattr(truncation, "cover_matrix", counting_cover_matrix)
+        monkeypatch.setattr(truncation, "cover_column", counting_cover_column)
+        monkeypatch.setattr(cover, "cover_column", counting_cover_column)
         farthest_point_sampling(lam, TranslationFunction.multiplicative(1.5)(lam))
-        assert sum(computed) < 0.1 * lam.shape[0] ** 2
+        assert lam.shape[0] < sum(computed) < 0.1 * lam.shape[0] ** 2
 
 
 class TestTruncationTree:
