@@ -204,6 +204,7 @@ class TranslationFunction:
             return cls.additive(numbers[0])
         return cls.multiplicative(numbers[0])
 
+    @np.errstate(over="ignore")  # too large for a float: inf, as on the extended half line
     def __call__(self, t):
         scalar = np.isscalar(t) or (isinstance(t, np.ndarray) and t.ndim == 0)
         a = np.asarray(t, dtype=float)
@@ -226,6 +227,7 @@ class TranslationFunction:
             out = np.where(np.isinf(a), INF, out)
         return float(out) if scalar else out
 
+    @np.errstate(invalid="ignore")  # inf - inf is NaN, which no step below -1e-12 matches
     def validate_on(self, upper: float):
         """Sample-check monotonicity and alpha(t) >= t on [0, upper] plus infinity."""
         grid = np.linspace(0.0, max(upper, 1e-9), VALIDATION_SAMPLES)

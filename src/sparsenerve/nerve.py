@@ -2,10 +2,12 @@
 
 The sparse nerve of a truncated dissimilarity Gamma with restriction times R
 is built from maximal faces emitted once per (restriction time, witness)
-pair and expanded into a (d+1)-skeleton.  The intrinsic and the ambient
-mode share that pipeline and differ only in the filtration values: min-max
-values from the original Lambda, v(sigma) = min over w of max over l in
-sigma of Lambda(l, w), or smallest-enclosing-ball radii of the points.
+pair and expanded into a (d+1)-skeleton by extension: a k-simplex is a
+(k-1)-simplex extended by a larger vertex that shares a face with all of
+it, so each is made once, in lexicographic order.  The intrinsic and the
+ambient mode share that pipeline and differ only in the filtration values:
+min-max values from the original Lambda, v(sigma) = min over w of max over
+l in sigma of Lambda(l, w), or smallest-enclosing-ball radii of the points.
 
 Simplices are stored as integer arrays, one per cardinality k: an (m, k)
 array of strictly increasing vertex rows.  A row is looked up by its
@@ -47,12 +49,6 @@ _CHUNK_CELLS = 1 << 16
 # (torus_fine gathers 225 per landmark, its mult:3 cloud 9).
 _RANK_GATHERS = 100
 
-# Subsets per block of expand_skeleton's deduplication: each block's keys
-# are sorted and deduplicated on their own, so the copies of a subset that
-# many faces share never exist all at once.
-_BLOCK_KEYS = 1 << 16
-
-
 def _wide(n: int, k: int) -> bool:
     """Can colex keys of k-subsets of range(n), or their terms, reach 2**63?"""
     return math.comb(n, min(k, n // 2)) >= 1 << 63
@@ -84,29 +80,6 @@ def _keys(rows: np.ndarray, n: int) -> np.ndarray:
     for j in range(1, k):
         keys += table[j + 1][rows[:, j]]
     return keys
-
-
-def _rows(keys: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Invert ``_keys``: the (m, k) int64 vertex rows of keys over range(n)."""
-    if keys.dtype.kind == "V":
-        return keys.view(">i8").reshape(-1, k).astype(np.int64)
-    table = _binomials(n, k)
-    rows = np.empty((len(keys), k), np.int64)
-    rest = keys.copy()
-    for j in range(k - 1, -1, -1):
-        # The largest v with C(v, j + 1) <= rest; the table is nondecreasing in v.
-        rows[:, j] = np.searchsorted(table[j + 1], rest, side="right") - 1
-        rest -= table[j + 1][rows[:, j]]
-    return rows
-
-
-def _sorted_unique(keys: np.ndarray, kind=None) -> np.ndarray:
-    """Sorted keys without repeats, by a sort (numpy's hashing unique is slower here).
-
-    ``kind="stable"`` (timsort) suits a concatenation of sorted runs.
-    """
-    keys = np.sort(keys, kind=kind)
-    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
 
 def _vertex_bound(cells) -> int:
@@ -171,6 +144,24 @@ def _lex_descents(rows: np.ndarray) -> np.ndarray:
     return step[np.arange(len(step)), first] < 0
 
 
+def _set_bits(packed: np.ndarray):
+    """(row, column) of every set bit of an ``np.packbits`` matrix, row-major."""
+    # numpy finds the nonzero entries of a bool array much faster than of uint8.
+    at = np.flatnonzero(packed != 0)
+    bits = np.flatnonzero(np.unpackbits(packed.ravel()[at]).view(bool))
+    row, byte = np.divmod(at[bits >> 3], packed.shape[1])
+    return row, 8 * byte + (bits & 7)
+
+
+def _incidence(face, vertex, n_faces: int, n: int) -> np.ndarray:
+    """(n, ceil(n_faces / 64)) uint64 bitsets from (face, vertex) pairs:
+    bit f of row v is set iff face f holds vertex v."""
+    incidence = np.zeros((n, -(-n_faces // 64)), np.uint64)
+    bit = np.uint64(1) << (face & 63).astype(np.uint64)
+    np.bitwise_or.at(incidence, (vertex, face >> 6), bit)
+    return incidence
+
+
 @dataclass(frozen=True)
 class Faces:
     """Faces grouped by size, as ``maximal_faces`` returns them.
@@ -218,13 +209,15 @@ class FilteredComplex:
     dim_cap: int
 
     def __post_init__(self):
-        cells = tuple(
-            np.array(c, dtype=np.int64).reshape(-1, p + 1) for p, c in enumerate(self.cells)
-        )
+        cells = tuple(c.copy() for c in _as_cells(self.cells))
         dims = np.array(self.dims, dtype=np.intp)
         values = np.array(self.values, dtype=float)
+        if np.isnan(values).any():
+            raise InputValidationError("a filtration value is NaN")
         if (
-            np.bincount(dims, minlength=len(cells)).tolist() != [len(c) for c in cells]
+            dims.ndim != 1
+            or (dims < 0).any()
+            or np.bincount(dims, minlength=len(cells)).tolist() != [len(c) for c in cells]
             or values.shape != dims.shape
         ):
             raise InputValidationError("cells, dims and values of a complex disagree")
@@ -321,9 +314,17 @@ def make_filtered_complex(cells, values=None, *, dim_cap: int) -> FilteredComple
     oracles may pass a dict simplex -> value instead, without ``values``.
     """
     if values is None:
-        cells, values = _cells_of(cells)
+        items = sorted(cells.items(), key=lambda sv: (len(sv[0]), tuple(sv[0])))
+        if items and not len(items[0][0]):
+            raise InputValidationError("the empty simplex is not a simplex of a complex")
+        top = len(items[-1][0]) if items else 0
+        cells = [[s for s, _ in items if len(s) == k] for k in range(1, top + 1)]
+        values = [v for _, v in items]
+    cells = _as_cells(cells)
     values = np.asarray(values, dtype=float)
     counts = [len(c) for c in cells]
+    if values.shape != (sum(counts),):
+        raise InputValidationError("cells and values of a complex disagree")
     card = np.repeat(np.arange(len(cells)), counts)
     # Stable, so tied values keep the (cardinality, vertices) order of the input.
     order = np.lexsort((card, values))
@@ -337,19 +338,16 @@ def make_filtered_complex(cells, values=None, *, dim_cap: int) -> FilteredComple
     )
 
 
-def _cells_of(value_by_simplex: dict):
-    """The cells and values of a dict simplex -> value, as ``Skeleton`` orders them."""
-    by_card = {}
-    for s, v in value_by_simplex.items():
-        by_card.setdefault(len(s), []).append((s, v))
-    cells, values = [], [np.empty(0)]
-    for k in range(1, max(by_card, default=0) + 1):
-        items = by_card.get(k, [])
-        rows = np.array([s for s, _ in items], dtype=np.int64).reshape(-1, k)
-        lex = np.lexsort(rows.T[::-1])
-        cells.append(rows[lex])
-        values.append(np.array([v for _, v in items], dtype=float)[lex])
-    return cells, np.concatenate(values)
+def _as_cells(cells) -> tuple:
+    """``cells[p]`` as an (m, p + 1) int64 array each; raises if one is not."""
+    try:
+        out = tuple(np.asarray(c, dtype=np.int64) for c in cells)
+    except (TypeError, ValueError):
+        raise InputValidationError("cells are not arrays of integer rows") from None
+    for p, a in enumerate(out):
+        if a.size and (a.ndim != 2 or a.shape[1] != p + 1):
+            raise InputValidationError(f"cells[{p}] has shape {a.shape}, not (m, {p + 1})")
+    return tuple(a.reshape(-1, p + 1) for p, a in enumerate(out))
 
 
 def slope_points(phi: ParentFunction, R: RestrictionTimes) -> frozenset:
@@ -421,21 +419,12 @@ def maximal_faces(gamma, R: RestrictionTimes, S: frozenset) -> Faces:
     order = np.lexsort((first, -size))
     rows, size = rows[first[order]], size[order]
 
-    # (face, vertex) pairs, read off the set bits of each nonzero byte.
-    at = np.flatnonzero(rows)
-    bits = np.flatnonzero(np.unpackbits(rows.ravel()[at]))
-    face, byte = np.divmod(at[bits >> 3], rows.shape[1])
-    vertex = 8 * byte + (bits & 7)
+    face, vertex = _set_bits(rows)
     n_faces = len(size)
-    verts = np.full((n_faces, size[0]), n)
+    # Vertex rows padded with their first vertex, which leaves an AND unchanged.
+    verts = np.repeat(vertex[np.cumsum(size) - size, None], size[0], axis=1)
     verts[face, np.arange(face.size) - np.repeat(np.cumsum(size) - size, size)] = vertex
-    # Bit f of incidence[v] is set iff face f holds v.  Row n is all ones,
-    # so the padding in verts leaves an AND unchanged.
-    incidence = np.zeros((n + 1, -(-n_faces // 64)), np.uint64)
-    np.bitwise_or.at(
-        incidence, (vertex, face >> 6), np.uint64(1) << (face & 63).astype(np.uint64)
-    )
-    incidence[n] = ~np.uint64(0)
+    incidence = _incidence(face, vertex, n_faces, n)
 
     keep = np.empty(n_faces, dtype=bool)
     chunk = max(1, _CHUNK_CELLS // incidence.shape[1])
@@ -504,75 +493,80 @@ def skeleton_size(n: int, d: int) -> int:
 
 
 def expand_skeleton(faces: Faces, d: int, max_simplices=None) -> Skeleton:
-    """All subsets of the faces with cardinality <= d+2, deduplicated.
+    """All subsets of the faces with cardinality <= d+2, each made once.
 
-    Faces of one size are expanded together through a table of index
-    combinations.  The keys (``_keys``) of their subsets come in blocks of
-    about ``_BLOCK_KEYS``, each sorted and stripped of repeats on its own.
-    Pending blocks are merged into the running union of one cardinality
-    once they outgrow it, so every key is merged once as pending, the
-    merges cost O(N log N) for N subsets, and the pending keys never exceed
-    the union by more than a block.  The union is decoded back to rows in
-    lexicographic order.  Raises ``SizeLimitError`` before any subset is
-    built if one face alone exceeds ``max_simplices``, and at a merge once
-    the union does.
+    Zomorodian's incremental expansion (Computers & Graphics 34, 2010) with
+    a face test for its clique test.  Vertices are renumbered in order, and
+    edges are the pairs that share a face.  A k-simplex is a lexicographic
+    (k-1)-row sigma extended by a vertex c above its last vertex, where c is
+    an upper neighbour of that last vertex, is adjacent to sigma's other
+    vertices, and the AND of ``_incidence`` over sigma and c is non-zero.
+    Extending the rows in order, each by its candidates in increasing
+    order, emits every cardinality in lexicographic order.  Raises
+    ``SizeLimitError`` up front if the vertices or the largest face's
+    subsets exceed ``max_simplices``, else once a chunk takes the count past it.
     """
-    cap = d + 2
-    if max_simplices is not None:
-        for block in faces.rows:
-            m = block.shape[1]
-            lower = sum(math.comb(m, k) for k in range(1, min(m, cap) + 1))
-            if lower > max_simplices:
-                raise SizeLimitError(lower, max_simplices)
-    n = _vertex_bound(faces.rows)
+    cells = [np.empty((0, k), np.int64) for k in range(1, d + 3)]
+    if not faces.rows:
+        return Skeleton(tuple(cells))
+    flat = np.concatenate([b.ravel() for b in faces.rows])
+    labels, vertex = np.unique(flat, return_inverse=True)
+    u, sizes = len(labels), [b.shape[1] for b in faces.rows]
+    # Lower bounds on the count: the vertices, and the largest face's subsets.
+    lower = max(u, skeleton_size(sizes[0], d))
+    if max_simplices is not None and lower > max_simplices:
+        raise SizeLimitError(lower, max_simplices)
 
-    cells = []
-    total = 0
-    for k in range(1, cap + 1):
-        runs, pending = [], 0  # runs[0] is the union so far, the rest pending
-        for keys in _subset_keys(faces.rows, k, n):
-            runs.append(_sorted_unique(keys))
-            pending += len(runs[-1]) if len(runs) > 1 else 0
-            if pending > len(runs[0]):
-                runs, pending = [_sorted_unique(np.concatenate(runs), "stable")], 0
-                if max_simplices is not None and total + len(runs[0]) > max_simplices:
-                    raise SizeLimitError(total + len(runs[0]), max_simplices)
-        if not runs:
-            cells.append(np.empty((0, k), np.int64))
-            continue
-        rows = _rows(_sorted_unique(np.concatenate(runs), "stable"), n, k)
-        total += len(rows)
-        if max_simplices is not None and total > max_simplices:
-            raise SizeLimitError(total, max_simplices)
-        cells.append(rows[np.lexsort(rows.T[::-1])])
+    face = np.repeat(np.arange(len(faces)), np.repeat(sizes, [len(b) for b in faces.rows]))
+    incidence = _incidence(face, vertex, len(faces), u)
+    # Bit b of row a, packed as np.packbits packs it, is set iff a < b share a face.
+    adjacent = np.zeros((u, -(-u // 8)), np.uint8)
+    pairs = np.triu_indices(sizes[0], 1)
+    blocks = np.split(vertex, np.cumsum([b.size for b in faces.rows])[:-1])
+    for m, block in zip(sizes, blocks):
+        # The pairs of range(m) lead those of range(sizes[0]), in the same order.
+        i, j = (p[pairs[1] < m] for p in pairs)
+        per = m * max(1, _CHUNK_CELLS // max(1, len(i)))
+        for start in range(0, len(block), per):
+            rows = block[start : start + per].reshape(-1, m)
+            a, b = rows[:, i].ravel(), rows[:, j].ravel()
+            bit = np.uint8(0x80) >> (b & 7).astype(np.uint8)
+            np.bitwise_or.at(adjacent, (a, b >> 3), bit)
+    a, above = _set_bits(adjacent)
+    # The upper neighbours of v are above[first[v] : first[v + 1]], increasing.
+    first = np.searchsorted(a, np.arange(u + 1))
+
+    total, sigma = u, np.arange(u).reshape(-1, 1)
+    cells[0] = labels.reshape(-1, 1)
+    # A chunk's rows and candidates take about _CHUNK_CELLS words of bitsets.
+    step = max(1, _CHUNK_CELLS // incidence.shape[1])
+    # A face of the largest size has subsets of every smaller size.
+    for k in range(2, min(d + 2, sizes[0]) + 1):
+        count = np.diff(first)[sigma[:, -1]]
+        ends = np.cumsum(count + 1)
+        cuts = np.searchsorted(ends, np.arange(step, ends[-1], step))
+        parts = []
+        for rows, cnt in zip(np.split(sigma, cuts), np.split(count, cuts)):
+            rep = np.repeat(np.arange(len(rows)), cnt)
+            at = np.repeat(first[rows[:, -1]] - np.cumsum(cnt) + cnt, cnt)
+            c = above[at + np.arange(len(rep))]
+            for j in range(k - 2):
+                ok = (adjacent[rows[rep, j], c >> 3] << (c & 7)) & 0x80 != 0
+                rep, c = rep[ok], c[ok]
+            if k > 2:
+                common = incidence[rows[:, 0]]
+                for j in range(1, k - 1):
+                    common &= incidence[rows[:, j]]
+                # Faster than .any(axis=1) on short rows.
+                ok = np.bitwise_or.reduce(common[rep] & incidence[c], axis=1) != 0
+                rep, c = rep[ok], c[ok]
+            parts.append(np.column_stack((rows[rep], c)))
+            total += len(c)
+            if max_simplices is not None and total > max_simplices:
+                raise SizeLimitError(total, max_simplices)
+        sigma = np.concatenate(parts)
+        cells[k - 1] = labels[sigma]
     return Skeleton(tuple(cells))
-
-
-def _subset_keys(rows: tuple, k: int, n: int):
-    """Yield keys of the k-subsets of the faces, in blocks of about ``_BLOCK_KEYS``.
-
-    ``rows`` holds (f, m) arrays of sorted faces, as in ``Faces``.  A
-    block pools the subsets of faces of several sizes until it reaches
-    ``_BLOCK_KEYS``, so no block holds more than twice that many.
-    """
-    parts, size = [], 0
-    for faces in rows:
-        m = faces.shape[1]
-        if m < k:
-            continue
-        table = _combinations(m, k)
-        per_block = max(1, _BLOCK_KEYS // len(table))
-        for start in range(0, len(faces), per_block):
-            block = faces[start : start + per_block]
-            for row in range(0, len(table), _BLOCK_KEYS):
-                subsets = block[:, table[row : row + _BLOCK_KEYS]]
-                parts.append(_keys(subsets.reshape(-1, k), n))
-                size += len(parts[-1])
-                if size >= _BLOCK_KEYS:
-                    yield np.concatenate(parts)
-                    parts, size = [], 0
-    if parts:
-        yield np.concatenate(parts)
 
 
 def full_dowker_nerve(lam, d: int, max_simplices=None) -> FilteredComplex:
@@ -625,8 +619,10 @@ def _sparse_skeleton(
         raise InputValidationError(f"simplex budget must be >= 0, got {max_simplices}")
     tr = truncation_result(dd, alpha, initial_point)
     # Restriction times are homogeneous in (Lambda, Gamma), and scaling by a
-    # power of two is exact, so this is exactly ``scale`` times R.
-    R = restriction_times(tr.tree, scale * dd.values, scale * tr.gamma.values)
+    # power of two is exact, so this is exactly ``scale`` times R (a value
+    # too large for a float is inf, as on the extended half line).
+    with np.errstate(over="ignore"):
+        R = restriction_times(tr.tree, scale * dd.values, scale * tr.gamma.values)
     faces = maximal_faces(tr.gamma.values, R, slope_points(tr.tree, R))
     return tr, R, expand_skeleton(faces, d, max_simplices)
 

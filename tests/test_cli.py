@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,16 @@ class TestPh:
         assert done.returncode == 0, done.stderr
         peak_mib = int(done.stdout.split()[-1]) / 1024
         assert peak_mib < 160
+
+    def test_huge_multiplier_warns_nothing(self, tmp_path, square_file):
+        # mult:1e308 overflows to inf, the value alpha takes on the extended
+        # half line; so does the ambient mode's doubling of Lambda.
+        for mode in ("intrinsic", "ambient"):
+            argv = ["ph", "--input", str(square_file), "--mode", mode,
+                    "--interleaving", "mult:1e308", "--out-diagram", str(tmp_path / "d.csv")]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(argv) == 0
 
     def test_mode_format_mismatch_exit_1(self, square_file):
         rc = main(

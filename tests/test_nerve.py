@@ -218,6 +218,30 @@ class TestFilteredComplex:
         with pytest.raises(InputValidationError):
             K.check()
 
+    def test_nan_value_rejected(self):
+        # A NaN value would reach the diagram as the point (0, nan, inf).
+        with pytest.raises(InputValidationError, match="NaN"):
+            make_filtered_complex({(0,): 0.0, (1,): float("nan")}, dim_cap=0)
+        with pytest.raises(InputValidationError, match="NaN"):
+            nerve.FilteredComplex(cells=([(0,)],), dims=[0], values=[np.nan], dim_cap=0)
+
+    def test_negative_dims_rejected(self):
+        with pytest.raises(InputValidationError, match="disagree"):
+            nerve.FilteredComplex(cells=([(0,)],), dims=[-1], values=[0.0], dim_cap=0)
+
+    def test_misshaped_cells_rejected(self):
+        with pytest.raises(InputValidationError, match=r"shape \(1, 3\)"):
+            nerve.FilteredComplex(
+                cells=([(0,), (1,)], [(0, 1, 2)]), dims=[0, 0, 1], values=[0.0, 0.0, 1.0],
+                dim_cap=1,
+            )
+        with pytest.raises(InputValidationError, match=r"shape \(2,\)"):
+            make_filtered_complex([np.array([[0]]), np.array([0, 1])], [0.0, 1.0], dim_cap=1)
+
+    def test_empty_simplex_rejected(self):
+        with pytest.raises(InputValidationError, match="empty simplex"):
+            make_filtered_complex({(): 0.0, (0,): 0.0}, dim_cap=0)
+
     def test_sorted_by_value_then_cardinality(self):
         K = make_filtered_complex(
             {(0,): 0.0, (1,): 0.0, (0, 1): 0.0, (2,): 1.0}, dim_cap=1
@@ -281,9 +305,10 @@ class TestExpandSkeleton:
 
     @pytest.mark.parametrize("block", [1, 1 << 16])
     def test_budget_counts_the_union(self, block):
-        # Ten disjoint triangles: 7 simplices each at d = 1, 70 in all.
+        # Ten disjoint triangles: 7 simplices each at d = 1, 70 in all. A
+        # block of 1 checks the budget after about every extended row.
         faces = [frozenset({3 * i, 3 * i + 1, 3 * i + 2}) for i in range(10)]
-        with mock.patch.object(nerve, "_BLOCK_KEYS", block):
+        with mock.patch.object(nerve, "_CHUNK_CELLS", block):
             assert len(expand_skeleton(_faces(faces * 3), 1, max_simplices=70)) == 70
             with pytest.raises(SizeLimitError):
                 expand_skeleton(_faces(faces), 1, max_simplices=69)
@@ -357,12 +382,24 @@ class TestArrayComplexOracle:
         faces=face_families(),
         d=st.integers(0, 3),
         seed=st.integers(0, 3),
-        block=st.sampled_from([1, 2, 5, 1 << 16]),
+        chunk=st.sampled_from([1, 2, 5, 1 << 16]),
     )
-    def test_matches_tuple_oracle(self, faces, d, seed, block):
-        # A tiny block runs the merge of pending blocks into the union.
-        with mock.patch.object(nerve, "_BLOCK_KEYS", block):
+    def test_matches_tuple_oracle(self, faces, d, seed, chunk):
+        # A tiny _CHUNK_CELLS extends about one row per chunk.
+        with mock.patch.object(nerve, "_CHUNK_CELLS", chunk):
             _check_against_oracle(faces, d, seed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(faces=face_families(), d=st.integers(0, 3), data=st.data())
+    def test_budget_is_the_union_size(self, faces, d, data):
+        # Raises exactly when the expansion holds more than b simplices.
+        size = len(_set_expansion(faces, d))
+        b = data.draw(st.sampled_from([size - 1, size]) | st.integers(0, 2 * size))
+        if size > b:
+            with pytest.raises(SizeLimitError):
+                expand_skeleton(_faces(faces), d, max_simplices=b)
+        else:
+            assert len(expand_skeleton(_faces(faces), d, max_simplices=b)) == size
 
     def test_wide_keys_at_large_labels(self):
         # Colex keys of 5- and 6-subsets of 10**5 labels overflow int64, so
@@ -372,8 +409,7 @@ class TestArrayComplexOracle:
         labels = np.arange(99_980, 100_000)
         sizes = rng.integers(3, 9, size=10).tolist()
         faces = [frozenset(rng.choice(labels, size=m, replace=False).tolist()) for m in sizes]
-        with mock.patch.object(nerve, "_BLOCK_KEYS", 7):
-            _check_against_oracle(faces, 4, 0)
+        _check_against_oracle(faces, 4, 0)
 
 
 class TestSparseNervePipeline:
