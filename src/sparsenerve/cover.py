@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import InputValidationError, as_extended_matrix
+from .model import InputValidationError, extended_values
 
 
 def cover_matrix(lambda1, lambda2=None) -> np.ndarray:
@@ -27,8 +27,8 @@ def cover_matrix(lambda1, lambda2=None) -> np.ndarray:
     (l, l') is the largest value Lambda1(l', w) over witnesses w where
     Lambda2(l, w) < Lambda1(l', w), or 0 if no witness qualifies.
     """
-    a1 = as_extended_matrix(lambda1)
-    a2 = a1 if lambda2 is None else as_extended_matrix(lambda2)
+    a1 = extended_values(lambda1)
+    a2 = a1 if lambda2 is None else extended_values(lambda2)
     if a1.shape[1:] != a2.shape[1:]:
         raise InputValidationError(
             f"witness mismatch: {a1.shape} vs {a2.shape}"

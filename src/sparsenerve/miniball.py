@@ -138,7 +138,7 @@ def facet_balls(X, simplices, facets, facet_radii, facet_centers):
     ``simplices`` is an ``(m, k)`` array of increasing vertex rows, k >= 2,
     and column j of ``facets`` the row, among the (k-1)-sets whose balls
     are ``facet_radii`` and ``facet_centers``, of the facet without vertex
-    k - 1 - j (``nerve._facets`` order).  A row's radius is the smallest
+    k - 1 - j (``nerve._facet_table`` order).  A row's radius is the smallest
     radius of a facet ball that holds the opposite vertex, by the rule of
     ``miniball``; if none does, it is the row's own circumball, checked to
     hold every vertex.  A row whose circumball is non-finite or fails that

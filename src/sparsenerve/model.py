@@ -85,6 +85,13 @@ def validate_dissimilarity(values, declared_metric: bool = False) -> ValidationR
     )
 
 
+def extended_values(values) -> np.ndarray:
+    """A ``DowkerDissimilarity``'s checked matrix, else ``as_extended_matrix(values)``."""
+    if isinstance(values, DowkerDissimilarity):
+        return values.values
+    return as_extended_matrix(values)
+
+
 @dataclass(frozen=True)
 class DowkerDissimilarity:
     """A finite matrix Lambda over L x W with entries in [0, inf].
@@ -98,15 +105,24 @@ class DowkerDissimilarity:
     metric: bool = False
 
     def __post_init__(self):
-        a = as_extended_matrix(self.values)
-        report = validate_dissimilarity(a, declared_metric=self.metric)
+        report = validate_dissimilarity(self.values, declared_metric=self.metric)
         if not report.ok:
             raise InputValidationError(
                 f"declared-metric violations: {report.violations[:5]}"
             )
-        a = a.copy()
+        a = np.array(getattr(self.values, "values", self.values), dtype=float)
         a.setflags(write=False)
         object.__setattr__(self, "values", a)
+
+    @classmethod
+    def _of_entries(cls, a: np.ndarray) -> "DowkerDissimilarity":
+        """Wrap, unscanned and read-only, a matrix made entrywise from checked
+        ones by max, min or doubling, which keep entries in [0, inf]."""
+        a.setflags(write=False)
+        dd = object.__new__(cls)
+        object.__setattr__(dd, "values", a)
+        object.__setattr__(dd, "metric", False)
+        return dd
 
     @property
     def max_finite(self) -> float:

@@ -10,9 +10,9 @@ min-max values from the original Lambda, v(sigma) = min over w of max over
 l in sigma of Lambda(l, w), or smallest-enclosing-ball radii of the points.
 
 Simplices are stored as integer arrays, one per cardinality k: an (m, k)
-array of strictly increasing vertex rows.  A row is looked up by its
-colexicographic index sum_j C(v_j, j + 1) in the combinatorial number
-system, as in Bauer's Ripser (J. Appl. Comput. Topol. 5, 2021).
+array of strictly increasing vertex rows, looked up by its lexicographic
+rank in the combinatorial number system, as in Bauer's Ripser (J. Appl.
+Comput. Topol. 5, 2021).  Facets are found once, on the skeleton's order.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .model import (
     RestrictionTimes,
     SizeLimitError,
     TranslationFunction,
-    as_extended_matrix,
+    extended_values,
 )
 from .sparsify import restriction_times
 from .truncation import truncation_result
@@ -50,12 +50,13 @@ _CHUNK_CELLS = 1 << 16
 _RANK_GATHERS = 100
 
 def _wide(n: int, k: int) -> bool:
-    """Can colex keys of k-subsets of range(n), or their terms, reach 2**63?"""
+    """Can lexicographic keys of k-subsets of range(n), or their terms, reach 2**63?"""
     return math.comb(n, min(k, n // 2)) >= 1 << 63
 
 
 def _binomials(n: int, k: int) -> np.ndarray:
-    """(k + 1, n) int64 table of C(v, i) for i <= k and v < n; not ``_wide``."""
+    """(k + 1, n) int64 table of C(v, i) for i <= k and v < n, exact in each row
+    i that is not ``_wide(n, i)`` (the rows above may overflow)."""
     table = np.zeros((k + 1, n), np.int64)
     table[0] = 1
     for i in range(1, k + 1):
@@ -64,21 +65,21 @@ def _binomials(n: int, k: int) -> np.ndarray:
     return table
 
 
-def _keys(rows: np.ndarray, n: int) -> np.ndarray:
-    """Sort keys of (m, k) strictly increasing rows over range(n): equal iff the rows are.
+def _lex_keys(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Keys of (m, k) strictly increasing rows over range(n), in their lexicographic order.
 
-    The colex index sum_j C(v_j, j + 1) as int64 while every k-subset of
-    range(n) has one below 2**63; otherwise each row as k big-endian int64
-    in one void scalar, whose bytes compare as the rows do, lexicographically.
+    -sum_j C(n - 1 - v_j, k - j), the rank less C(n, k) - 1, as int64 unless
+    ``_wide``; then each row as k big-endian int64 in one void scalar.
+    ``table`` is ``_binomials(n, K)`` for some K >= k.
     """
-    k = rows.shape[1]
+    n, k = table.shape[1], rows.shape[1]
     if _wide(n, k):
         rows = np.ascontiguousarray(rows, dtype=">i8")
         return rows.view(np.dtype((np.void, 8 * k))).reshape(-1)
-    table = _binomials(n, k)
-    keys = table[1][rows[:, 0]]
+    up = n - 1 - rows
+    keys = -table[k][up[:, 0]]
     for j in range(1, k):
-        keys += table[j + 1][rows[:, j]]
+        keys -= table[k - j][up[:, j]]
     return keys
 
 
@@ -100,48 +101,65 @@ def _combinations(m: int, k: int) -> np.ndarray:
     return table
 
 
-def _sorted_keys(rows: np.ndarray, n: int):
-    """The rows' keys in sorted order, and the row of each sorted key."""
-    keys = _keys(rows, n)
-    order = np.argsort(keys)
-    return keys[order], order
-
-
-def _facets(rows: np.ndarray, lower, n: int) -> np.ndarray:
-    """Row in the lower cardinality of every facet of every row.
-
-    ``lower`` is ``_sorted_keys`` of the (k-1)-vertex rows.  Column j of the
-    (m, k) result is the facet without vertex k - 1 - j, the order in which
-    ``itertools.combinations`` lists facets.  Raises
-    ``InputValidationError`` on a missing facet.
-    """
-    lower_keys, lower_order = lower
-    m, k = rows.shape
-    out = np.empty((m, k), np.intp)
-    for j in range(k):
-        face = np.delete(rows, k - 1 - j, axis=1)
-        keys = _keys(face, n)
-        # Searching the queries in sorted order keeps the binary searches in
-        # cache; the positions are scattered back to row order.
-        order = np.argsort(keys)
-        at = np.empty(m, np.intp)
-        at[order] = np.searchsorted(lower_keys, keys[order])
-        found = at < len(lower_keys)
-        found[found] = lower_keys[at[found]] == keys[found]
-        if not found.all():
-            r = np.flatnonzero(~found)[0]
-            raise InputValidationError(
-                f"missing face {tuple(face[r].tolist())} of {tuple(rows[r].tolist())}"
-            )
-        out[:, j] = lower_order[at]
-    return out
-
-
-def _lex_descents(rows: np.ndarray) -> np.ndarray:
-    """Whether each row is lexicographically above the next one."""
+def _lex_steps(rows: np.ndarray) -> np.ndarray:
+    """First non-zero difference of each row and the next: < 0 where the rows descend."""
     step = rows[1:] - rows[:-1]
     first = np.argmax(step != 0, axis=1)
-    return step[np.arange(len(step)), first] < 0
+    return step[np.arange(len(step)), first]
+
+
+def _facet_table(cells, rank=None) -> tuple:
+    """Facets of simplices in ``Skeleton`` order, as rows one cardinality down.
+
+    Entry (r, j) of ``table[k - 1]`` is the row in ``cells[k - 2]`` of the
+    facet of ``cells[k - 1][r]`` without vertex k - 1 - j
+    (``itertools.combinations`` order), found by a binary search of its key
+    among the sorted ``_lex_keys`` there.  Raises ``InputValidationError``,
+    naming the faulty row of least ``rank`` if given, where a row is not
+    increasing and non-negative, repeats, is out of order or misses a facet.
+    """
+
+    def first(k, bad):
+        return bad[0] if rank is None else bad[np.argmin(rank[k - 1][bad])]
+
+    binomials = _binomials(_vertex_bound(cells), len(cells))
+    table, lower = [np.empty((len(c), 0), np.intp) for c in cells[:1]], None
+    for k, rows in enumerate(cells, 1):
+        rising = rows[:, 1:] > rows[:, :-1]
+        if (rows[:, 0] < 0).any() or not rising.all():
+            bad = np.flatnonzero((rows[:, 0] < 0) | ~rising.all(axis=1))
+            raise InputValidationError(
+                f"vertices of {tuple(rows[first(k, bad)].tolist())} are not increasing"
+                " non-negative integers"
+            )
+        keys = _lex_keys(rows, binomials)
+        # Void keys have no order to compare; their rows do.
+        step = _lex_steps(rows) if keys.dtype.kind == "V" else np.diff(keys)
+        bad = np.flatnonzero(step <= 0)
+        if bad.size:
+            r = first(k, bad)
+            a, b = tuple(rows[r].tolist()), tuple(rows[r + 1].tolist())
+            if step[r] == 0:
+                raise InputValidationError(f"duplicate simplex {a}")
+            raise InputValidationError(f"simplices not in lexicographic order at {a} -> {b}")
+        if k > 1:
+            out = np.empty(rows.shape, np.intp)
+            for j in range(k):
+                face = rows[:, [c for c in range(k) if c != k - 1 - j]]
+                query = _lex_keys(face, binomials)
+                at = np.searchsorted(lower, query)
+                found = np.zeros(len(at), bool)
+                if len(lower):  # take() clips the positions past the end
+                    found = lower.take(at, mode="clip") == query
+                if not found.all():
+                    r = first(k, np.flatnonzero(~found))
+                    raise InputValidationError(
+                        f"missing face {tuple(face[r].tolist())} of {tuple(rows[r].tolist())}"
+                    )
+                out[:, j] = at
+            table.append(out)
+        lower = keys
+    return tuple(table)
 
 
 def _set_bits(packed: np.ndarray):
@@ -226,6 +244,7 @@ class FilteredComplex:
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_facets", None)  # set by make_filtered_complex
 
     def __len__(self):
         return len(self.values)
@@ -248,12 +267,11 @@ class FilteredComplex:
 
         Returns one array per dimension p: row r of ``facets[p]`` holds the
         indices of the facets of the r-th p-simplex, entry j the facet
-        without vertex p - j (``itertools.combinations`` order); vertices
-        have none, so ``facets[0]`` has no columns.  Raises
-        ``InputValidationError`` if a vertex row is not strictly increasing
-        and non-negative, or the simplices are not sorted by (value,
-        cardinality, vertices), repeat, miss a facet, or enter before one of
-        their facets.
+        without vertex p - j; ``facets[0]`` has no columns.  Raises
+        ``InputValidationError`` if the simplices are not sorted by (value,
+        cardinality, vertices), enter before one of their facets, or fail
+        ``_facet_table``: it made the table ``make_filtered_complex`` hands
+        over, else it runs here on each dimension in lexicographic order.
         """
         cells, dims, values = self.cells, self.dims, self.values
         at = [np.flatnonzero(dims == p) for p in range(len(cells))]
@@ -262,20 +280,12 @@ class FilteredComplex:
             p = dims[i]
             return tuple(cells[p][np.searchsorted(at[p], i)].tolist())
 
-        for rows in cells:
-            rising = (rows[:, 1:] > rows[:, :-1]).all(axis=1)
-            bad = np.flatnonzero((rows[:, 0] < 0) | ~rising)
-            if bad.size:
-                raise InputValidationError(
-                    f"vertices of {tuple(rows[bad[0]].tolist())} are not increasing"
-                    " non-negative integers"
-                )
         dv = np.diff(values)
         unsorted = (dv < 0) | ((dv == 0) & (np.diff(dims) < 0))
         for p, rows in enumerate(cells):
             # Consecutive rows of one dimension that are also consecutive
             # simplices must rise lexicographically where their values tie.
-            desc = _lex_descents(rows)
+            desc = _lex_steps(rows) < 0
             i, nxt = at[p][:-1][desc], at[p][1:][desc]
             i = i[nxt == i + 1]
             unsorted[i[dv[i] == 0]] = True
@@ -283,35 +293,35 @@ class FilteredComplex:
             i = np.flatnonzero(unsorted)[0]
             raise InputValidationError(f"not sorted at {simplex(i)} -> {simplex(i + 1)}")
 
-        n = _vertex_bound(cells)
-        lower = []
-        for rows in cells:
-            keys, order = _sorted_keys(rows, n)
-            dup = np.flatnonzero(keys[1:] == keys[:-1])
-            if dup.size:
-                raise InputValidationError(
-                    f"duplicate simplex {tuple(rows[order[dup[0]]].tolist())}"
-                )
-            lower.append((keys, order))
-        facets = [np.empty((len(c), 0), np.intp) for c in cells[:1]]
+        facets = self._facets
+        if facets is None:
+            lex = [np.lexsort(rows.T[::-1]) for rows in cells]
+            table = _facet_table(
+                [rows[o] for rows, o in zip(cells, lex)], [a[o] for a, o in zip(at, lex)]
+            )
+            facets = list(table[:1])
+            for p in range(1, len(cells)):
+                face = np.empty_like(table[p])
+                face[lex[p]] = at[p - 1][lex[p - 1]][table[p]]
+                facets.append(face)
         for p in range(1, len(cells)):
-            face = at[p - 1][_facets(cells[p], lower[p - 1], n)]
-            worse = np.argwhere(values[face] > values[at[p]][:, None])
+            worse = np.argwhere(values[facets[p]] > values[at[p]][:, None])
             if worse.size:
                 r, j = worse[0]
                 raise InputValidationError(
-                    f"filtration not monotone: {simplex(face[r, j])} > {simplex(at[p][r])}"
+                    f"filtration not monotone: {simplex(facets[p][r, j])} > {simplex(at[p][r])}"
                 )
-            facets.append(face)
         return tuple(facets)
 
 
-def make_filtered_complex(cells, values=None, *, dim_cap: int) -> FilteredComplex:
+def make_filtered_complex(cells, values=None, *, dim_cap: int, facets=None) -> FilteredComplex:
     """Sort simplices into a FilteredComplex, by (value, cardinality, vertices).
 
     ``cells[k - 1]`` holds the k-vertex simplices as in ``Skeleton``, and
     ``values`` their values, cardinality after cardinality.  Tests and
     oracles may pass a dict simplex -> value instead, without ``values``.
+    The complex carries ``facets`` (by default ``_facet_table(cells)``) in
+    filtration order, unless the table raises: its check then says why.
     """
     if values is None:
         items = sorted(cells.items(), key=lambda sv: (len(sv[0]), tuple(sv[0])))
@@ -330,12 +340,27 @@ def make_filtered_complex(cells, values=None, *, dim_cap: int) -> FilteredComple
     order = np.lexsort((card, values))
     dims = card[order]
     start = np.cumsum(counts) - counts
-    return FilteredComplex(
-        cells=tuple(c[order[dims == p] - start[p]] for p, c in enumerate(cells)),
+    rows = [order[dims == p] - start[p] for p in range(len(cells))]
+    K = FilteredComplex(
+        cells=tuple(c[r] for c, r in zip(cells, rows)),
         dims=dims,
         values=values[order],
         dim_cap=dim_cap,
     )
+    if facets is None:
+        try:
+            facets = _facet_table(cells)
+        except InputValidationError:
+            return K
+    rank = np.empty_like(order)  # input position -> position in K
+    rank[order] = np.arange(len(order))
+    table = list(facets[:1])
+    for p in range(1, len(cells)):
+        table.append(rank[start[p - 1] + facets[p][rows[p]]])
+    for t in table:
+        t.setflags(write=False)
+    object.__setattr__(K, "_facets", tuple(table))
+    return K
 
 
 def _as_cells(cells) -> tuple:
@@ -388,7 +413,7 @@ def maximal_faces(gamma, R: RestrictionTimes, S: frozenset) -> Faces:
     face is kept iff that is itself alone.  Faces come back largest first,
     ties in order of first emission.
     """
-    g = as_extended_matrix(gamma)
+    g = extended_values(gamma)
     times = R.times
     n = g.shape[0]
     s_mask = np.zeros(n, dtype=bool)
@@ -465,7 +490,7 @@ def filtration_values(lam, cells) -> np.ndarray:
     (uint32) of float64's bytes, which repays the sort only on a
     long enough loop.
     """
-    lam = as_extended_matrix(lam)
+    lam = extended_values(lam)
     table, codes = None, lam
     if sum(c.size for c in cells) > _RANK_GATHERS * lam.shape[0]:
         table, codes = np.unique(lam, return_inverse=True)
@@ -574,7 +599,7 @@ def full_dowker_nerve(lam, d: int, max_simplices=None) -> FilteredComplex:
 
     Brute-force construction, intended as a small-instance oracle.
     """
-    lam = as_extended_matrix(lam)
+    lam = extended_values(lam)
     n = lam.shape[0]
     if max_simplices is not None and skeleton_size(n, d) > max_simplices:
         raise SizeLimitError(skeleton_size(n, d), max_simplices)
@@ -618,12 +643,15 @@ def _sparse_skeleton(
     if max_simplices is not None and max_simplices < 0:
         raise InputValidationError(f"simplex budget must be >= 0, got {max_simplices}")
     tr = truncation_result(dd, alpha, initial_point)
-    # Restriction times are homogeneous in (Lambda, Gamma), and scaling by a
-    # power of two is exact, so this is exactly ``scale`` times R (a value
-    # too large for a float is inf, as on the extended half line).
-    with np.errstate(over="ignore"):
-        R = restriction_times(tr.tree, scale * dd.values, scale * tr.gamma.values)
-    faces = maximal_faces(tr.gamma.values, R, slope_points(tr.tree, R))
+    lam, gamma = dd, tr.gamma
+    if scale != 1:
+        # Restriction times are homogeneous in (Lambda, Gamma), and scaling
+        # by a power of two is exact, so this gives exactly ``scale`` times R
+        # (a value too large for a float is inf, as on the extended half line).
+        with np.errstate(over="ignore"):
+            lam, gamma = (DowkerDissimilarity._of_entries(scale * m.values) for m in (lam, gamma))
+    R = restriction_times(tr.tree, lam, gamma)
+    faces = maximal_faces(tr.gamma, R, slope_points(tr.tree, R))
     return tr, R, expand_skeleton(faces, d, max_simplices)
 
 
@@ -647,7 +675,7 @@ def sparse_dowker_nerve(
     if not isinstance(dd, DowkerDissimilarity):
         dd = DowkerDissimilarity(dd)
     tr, R, skeleton = _sparse_skeleton(dd, alpha, d, initial_point, max_simplices)
-    values = filtration_values(dd.values, skeleton.cells)
+    values = filtration_values(dd, skeleton.cells)
     complex_ = make_filtered_complex(skeleton.cells, values, dim_cap=d + 1)
     return SparseNerveResult(complex=complex_, gamma=tr.gamma, phi=tr.tree, restriction=R)
 
@@ -678,27 +706,28 @@ def ambient_cech_nerve(
         dd, alpha, d, initial_point, max_simplices, scale=2.0
     )
     cells = skeleton.cells
-    return make_filtered_complex(cells, ambient_radii(X, cells), dim_cap=d + 1)
+    facets = _facet_table(cells)
+    return make_filtered_complex(
+        cells, ambient_radii(X, cells, facets), dim_cap=d + 1, facets=facets
+    )
 
 
-def ambient_radii(X, cells) -> np.ndarray:
+def ambient_radii(X, cells, facets) -> np.ndarray:
     """Smallest-enclosing-ball radii of the cells, made monotone, one array.
 
     ``cells`` holds one lexicographic (m, k) vertex array per cardinality
-    k = 1, 2, ..., each closed under facets in the one below.  Goes up
-    through the cardinalities: each set's ball comes from its facets'
-    balls (``miniball.facet_balls``), and its value is lifted to the
-    largest value of its facets in the same pass, which removes the
-    epsilon-scale violations of monotonicity rounding can leave.
+    k = 1, 2, ..., closed under facets, and ``facets`` their
+    ``_facet_table``.  Goes up through the cardinalities: each set's ball
+    comes from its facets' balls (``miniball.facet_balls``), and its value
+    is lifted to the largest value of its facets in the same pass, which
+    removes the epsilon-scale violations of monotonicity rounding can leave.
     """
     X = np.asarray(X, dtype=float)
-    n = _vertex_bound(cells)
     radii, centers = np.zeros(len(cells[0])), X[cells[0][:, 0]]
     values = [radii]
     for k in range(1, len(cells)):
-        facets = _facets(cells[k], _sorted_keys(cells[k - 1], n), n)
-        radii, centers = facet_balls(X, cells[k], facets, radii, centers)
-        values.append(np.maximum(radii, values[-1][facets].max(axis=1)))
+        radii, centers = facet_balls(X, cells[k], facets[k], radii, centers)
+        values.append(np.maximum(radii, values[-1][facets[k]].max(axis=1)))
     return np.concatenate(values)
 
 
@@ -719,8 +748,7 @@ def _monotone_snap(cells, values) -> np.ndarray:
     """
     out = np.array(values, dtype=float)
     parts = np.split(out, np.cumsum([len(c) for c in cells])[:-1])
-    n = _vertex_bound(cells)
+    facets = _facet_table(cells)
     for k in range(1, len(cells)):
-        facets = _facets(cells[k], _sorted_keys(cells[k - 1], n), n)
-        np.maximum(parts[k], parts[k - 1][facets].max(axis=1), out=parts[k])
+        np.maximum(parts[k], parts[k - 1][facets[k]].max(axis=1), out=parts[k])
     return out

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 import numpy as np
 
@@ -33,14 +32,8 @@ class PersistenceDiagram:
 
 
 def _boundary_columns(K: FilteredComplex):
-    """Facet indices and dimension of every simplex of a checked complex.
-
-    Returns (facets, dims): ``facets[p]`` holds, row by row, the indices of
-    the facets of the p-simplices in filtration order (as
-    ``FilteredComplex.facet_indices``), and ``dims[i]`` is the dimension of
-    simplex ``i``.  Raises ``InputValidationError`` where
-    ``FilteredComplex.check`` would.
-    """
+    """(``K.facet_indices()``, ``K.dims``): the facet table ``make_filtered_complex``
+    found, else the one ``facet_indices`` derives, and each simplex's dimension."""
     return K.facet_indices(), K.dims
 
 
@@ -55,20 +48,18 @@ def _reduce_cohomology(facets, dims, max_dim):
     (de Silva, Morozov and Vejdemo-Johansson, "Dualities in persistent
     (co)homology", 2011).  Simplices that died in dimension k - 1 reduce to
     zero and are skipped (clearing), and a column whose earliest coface is
-    no pivot yet is paired without reduction (an emergent pair).
+    no pivot yet is paired without reduction (an emergent pair), as in
+    Bauer's Ripser (J. Appl. Comput. Topol. 5, 2021).
 
-    The coboundaries of dimension k are slices of one sorted list of the
-    (facet, coface) pairs of the (k+1)-simplices.
-
-    A column being reduced is a set, for Z/2 addition, beside a min-heap of
-    its entries, which finds each pivot in O(log m) instead of a scan.  The
-    heap is lazy: an addition pushes only the entries it brings into the
-    set, and entries it cancels stay in the heap until they reach the top,
-    where they are popped because the set no longer holds them.  Reduced
-    columns are stored as sorted lists.  Clearing, emergent pairs and the
-    working-column heap follow Bauer, "Ripser: efficient computation of
-    Vietoris-Rips persistence barcodes", J. Appl. Comput. Topol. 5 (2021).
-    Pairs equal those of the boundary-matrix reduction ``_reduce_twist``.
+    The coboundaries of dimension k are slices of one sorted array of the
+    (facet, coface) pairs of the (k+1)-simplices.  The column being reduced
+    is a boolean array ``work`` over all simplices: an addition flips the
+    entries of a stored column, and the next pivot is the first set entry
+    from the last one up to the largest index touched (``argmax``); none
+    means the column is zero and its simplex essential.  A reduced column is
+    stored as its set indices, which are then cleared, an emergent one as
+    its slice.  Pairs equal those of the boundary-matrix reduction
+    ``_reduce_twist``.
     """
     dims = np.asarray(dims)
     by_dim = [np.flatnonzero(dims == k) for k in range(max_dim + 2)]
@@ -88,9 +79,11 @@ def _reduce_cohomology(facets, dims, max_dim):
 
     pairs = []
     deaths = set()
-    for e, ends in zip(by_dim[1].tolist(), facets_of(1).tolist()):
-        u, v = sorted(find(x) for x in ends)
+    for e, (a, b) in zip(by_dim[1].tolist(), facets_of(1).tolist()):
+        u, v = find(a), find(b)
         if u != v:
+            if u > v:
+                u, v = v, u
             parent[v] = u
             pairs.append((v, e))
             deaths.add(e)
@@ -100,39 +93,45 @@ def _reduce_cohomology(facets, dims, max_dim):
     for k in range(1, max_dim + 1):
         # One sort of facet * n + coface orders the (facet, coface) pairs
         # by facet, then coface, so each coboundary is a sorted slice.
-        pair = facets_of(k + 1) * n + by_dim[k + 1][:, None]
-        face, cofaces = np.divmod(np.sort(pair, axis=None), n)
-        cofaces = cofaces.tolist()
-        first = np.searchsorted(face, by_dim[k]).tolist()
-        last = np.searchsorted(face, by_dim[k], side="right").tolist()
-        pivots = {}  # pivot coface -> reduced coboundary owning it
-        for i, a, b in zip(by_dim[k].tolist()[::-1], first[::-1], last[::-1]):
+        up = facets_of(k + 1)
+        cofaces = np.sort(up * n + by_dim[k + 1][:, None], axis=None) % n
+        count = np.bincount(up.ravel(), minlength=n)
+        latest = by_dim[k][::-1]
+        last = np.cumsum(count)[latest]
+        first = last - count[latest]
+        lead = np.full(len(latest), -1)  # earliest coface, -1 if none
+        has = first < last
+        lead[has] = cofaces[first[has]]
+        work = np.zeros(len(dims), bool)
+        pivots = {}  # pivot coface -> the reduced coboundary owning it
+        for i, a, b, low in zip(latest.tolist(), first.tolist(), last.tolist(), lead.tolist()):
             if i in deaths:
                 continue
-            col = cofaces[a:b]
-            if col and col[0] not in pivots:
-                pivots[col[0]] = col
-                pairs.append((i, col[0]))
-                continue
-            work = set(col)
-            heap = col.copy()  # sorted, hence already a heap
-            while heap:
-                low = heap[0]
-                if low not in work:
-                    heappop(heap)
-                    continue
-                other = pivots.get(low)
-                if other is None:
-                    break
-                work.symmetric_difference_update(other)
-                for t in other:
-                    if t in work:
-                        heappush(heap, t)
-            if work:
-                pivots[low] = sorted(work)
-                pairs.append((i, low))
-            else:
+            if low < 0:
                 essential.append(i)
+                continue
+            if low not in pivots:
+                pivots[low] = cofaces[a:b]
+                pairs.append((i, low))
+                continue
+            col = cofaces[a:b]
+            work[col] = True
+            hi = int(col[-1]) + 1
+            while low in pivots:
+                other = pivots[low]
+                work[other] ^= True
+                hi = max(hi, int(other[-1]) + 1)
+                low += int(work[low:hi].argmax())
+                if not work[low]:
+                    low = -1
+                    break
+            if low < 0:
+                essential.append(i)
+                continue
+            col = low + np.flatnonzero(work[low:hi])
+            work[col] = False
+            pivots[low] = col
+            pairs.append((i, low))
         deaths = pivots
     return sorted(pairs), sorted(essential)
 

@@ -9,7 +9,7 @@ from .model import (
     InputValidationError,
     ParentFunction,
     RestrictionTimes,
-    as_extended_matrix,
+    extended_values,
 )
 
 
@@ -24,8 +24,8 @@ def restriction_times(phi: ParentFunction, lam, gamma) -> RestrictionTimes:
     node carries the maximum raw deadline over its subtree, making parents
     outlive their children's removal.
     """
-    lam = as_extended_matrix(lam)
-    gamma = as_extended_matrix(gamma)
+    lam = extended_values(lam)
+    gamma = extended_values(gamma)
     if lam.shape != gamma.shape or lam.shape[0] != len(phi):
         raise InputValidationError("dissimilarities do not match the parent tree")
     p = phi.parent

@@ -24,7 +24,7 @@ from .model import (
     InputValidationError,
     ParentFunction,
     TranslationFunction,
-    as_extended_matrix,
+    extended_values,
 )
 
 
@@ -64,10 +64,10 @@ def farthest_point_sampling(
     bound already reaches d(l) keeps its distance and its parent, so only
     the other points get their entry computed.  The initial point's full
     column comes from ``cover_matrix``; each later one from
-    ``cover_column`` directly, on the arrays validated on entry.
+    ``cover_column`` directly, on the arrays validated on entry (a
+    ``DowkerDissimilarity`` is not scanned again).
     """
-    lam = as_extended_matrix(lam)
-    alpha_lam = as_extended_matrix(alpha_lam)
+    alpha_dd, lam, alpha_lam = alpha_lam, extended_values(lam), extended_values(alpha_lam)
     if lam.shape != alpha_lam.shape:
         raise InputValidationError(
             f"shape mismatch: {lam.shape} vs {alpha_lam.shape}"
@@ -83,7 +83,7 @@ def farthest_point_sampling(
     radius = np.full(n, INF)
     parent = np.full(n, initial_point)
     order[0] = initial_point
-    d = cover_matrix(lam[initial_point : initial_point + 1], alpha_lam)[:, 0]
+    d = cover_matrix(lam[initial_point : initial_point + 1], alpha_dd)[:, 0]
     d[initial_point] = -INF
     for i in range(1, n):
         li = int(np.argmax(d))
@@ -133,26 +133,27 @@ def truncation_result(
     each row, already minimized against its children's finished rows, is
     maximized back up to Lambda and folded into its parent's row, so each
     row dominates its whole subtree wherever alpha(Lambda) allows.
-    Validates alpha on the data scale; farthest-point sampling computes
-    only the cover entries of (Lambda, alpha(Lambda)) it needs.
+    Validates alpha on the data scale and alpha(Lambda) once; farthest-point
+    sampling computes only the cover entries of (Lambda, alpha(Lambda)) it
+    needs.  Gamma, made of their entries, is not scanned again.
     """
     if not isinstance(dd, DowkerDissimilarity):
         dd = DowkerDissimilarity(dd)
     lam = dd.values
     alpha.validate_on(2.0 * dd.max_finite)
-    alpha_lam = alpha(lam)
-    fps = farthest_point_sampling(lam, alpha_lam, initial_point)
+    alpha_lam = DowkerDissimilarity(alpha(lam))
+    fps = farthest_point_sampling(dd, alpha_lam, initial_point)
     tree = ParentFunction(parent=fps.parent)
 
     # Children are inserted after their parent, so walking the order
     # backwards finishes every row before it is folded into its parent's.
-    gamma = alpha_lam.copy()
+    gamma = alpha_lam.values.copy()
     for l in fps.order[::-1]:
         row = gamma[l]
         np.maximum(row, lam[l], out=row)
         np.minimum(gamma[fps.parent[l]], row, out=gamma[fps.parent[l]])
     return TruncationResult(
-        gamma=DowkerDissimilarity(gamma),
+        gamma=DowkerDissimilarity._of_entries(gamma),
         fps=fps,
         tree=tree,
     )

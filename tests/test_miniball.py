@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sparsenerve.miniball import enclosing_radii, miniball
 from sparsenerve.model import InputValidationError
-from sparsenerve.nerve import _combinations, _facets, _sorted_keys, ambient_radii
+from sparsenerve.nerve import _combinations, _facet_table, ambient_radii
 
 
 class TestMiniball:
@@ -192,16 +192,15 @@ class TestEnclosingRadii:
 def check_skeleton_against_welzl(X):
     """ambient_radii on every vertex set of X up to cardinality 5 against miniball."""
     cells = [_combinations(X.shape[0], k) for k in range(1, min(X.shape[0], 5) + 1)]
-    values = ambient_radii(X, cells)
+    facets = _facet_table(cells)
+    values = ambient_radii(X, cells, facets)
     parts = np.split(values, np.cumsum([len(c) for c in cells])[:-1])
     for rows, got in zip(cells, parts):
         for row, r in zip(rows, got):
             expected = miniball(X[row])[1]
             assert abs(r - expected) <= 1e-9 * (1 + expected), (row, r, expected)
-    n = X.shape[0]
     for k in range(1, len(cells)):
-        facets = _facets(cells[k], _sorted_keys(cells[k - 1], n), n)
-        assert np.all(parts[k] >= parts[k - 1][facets].max(axis=1))
+        assert np.all(parts[k] >= parts[k - 1][facets[k]].max(axis=1))
 
 
 class TestAmbientRadii:

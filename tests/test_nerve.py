@@ -361,9 +361,22 @@ def _check_against_oracle(faces, d, seed):
     assert K.simplices == tuple(order)
     assert K.values.tolist() == [value_of[s] for s in order]
     assert facet_lists(K.facet_indices(), K.dims) == _dict_facets(order)
+    _assert_carried_table_is_derived(K)
     from_dict = make_filtered_complex(value_of, dim_cap=d + 1)
     assert from_dict.simplices == K.simplices
     assert np.array_equal(from_dict.values, K.values)
+
+
+def _assert_carried_table_is_derived(K):
+    """The facet table make_filtered_complex carries equals the one
+    facet_indices derives for the same cells, dims and values."""
+    assert K._facets is not None
+    direct = nerve.FilteredComplex(cells=K.cells, dims=K.dims, values=K.values, dim_cap=K.dim_cap)
+    assert direct._facets is None
+    carried, derived = K.facet_indices(), direct.facet_indices()
+    assert len(carried) == len(derived)
+    for a, b in zip(carried, derived):
+        assert a.shape == b.shape and np.array_equal(a, b)
 
 
 @st.composite
@@ -402,14 +415,124 @@ class TestArrayComplexOracle:
             assert len(expand_skeleton(_faces(faces), d, max_simplices=b)) == size
 
     def test_wide_keys_at_large_labels(self):
-        # Colex keys of 5- and 6-subsets of 10**5 labels overflow int64, so
-        # those cardinalities use byte keys and the lower ones colex keys.
+        # Lexicographic keys of 5- and 6-subsets of 10**5 labels overflow
+        # int64, so those cardinalities use byte keys and the lower ones
+        # integer keys.
         assert nerve._wide(100_000, 5) and not nerve._wide(100_000, 4)
         rng = np.random.default_rng(5)
         labels = np.arange(99_980, 100_000)
         sizes = rng.integers(3, 9, size=10).tolist()
         faces = [frozenset(rng.choice(labels, size=m, replace=False).tolist()) for m in sizes]
         _check_against_oracle(faces, 4, 0)
+
+
+class TestFacetTable:
+    def test_carried_by_pipeline_complexes(self, rng):
+        for _ in range(10):
+            lam = random_dissimilarity(rng)
+            _assert_carried_table_is_derived(full_dowker_nerve(lam, 2))
+            _assert_carried_table_is_derived(
+                sparse_dowker_nerve(DowkerDissimilarity(lam), TranslationFunction.identity(), 2).complex
+            )
+        X = sample_clifford_torus(30, 0).points
+        _assert_carried_table_is_derived(ambient_cech_nerve(X, TranslationFunction.identity(), 2))
+
+    def test_wide_rows_match_combinations(self):
+        labels = [0, 7, 99_990, 99_993, 99_995, 99_998, 99_999]
+        cells = [np.array(list(combinations(labels, k))) for k in range(1, 7)]
+        assert nerve._wide(labels[-1] + 1, 5)
+        table = nerve._facet_table(cells)
+        for k in range(1, len(cells)):
+            position = {tuple(row): r for r, row in enumerate(cells[k - 1].tolist())}
+            expected = [
+                [position[f] for f in combinations(row, len(row) - 1)]
+                for row in cells[k].tolist()
+            ]
+            assert table[k].tolist() == expected
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            ([[[1], [0]]], r"not in lexicographic order at \(1,\) -> \(0,\)"),
+            ([[[0], [0]]], r"duplicate simplex \(0,\)"),
+            ([[[0], [1]], [[1, 0]]], "not increasing"),
+            ([[[0], [1]], [[0, 1], [0, 2]]], r"missing face \(2,\) of \(0, 2\)"),
+            ([[[0], [1]], [[0, 1]], [[0, 1, 2]]], r"missing face \(0, 2\) of"),
+            (
+                [[[99_990 + v] for v in range(5)], [], [], [], [list(range(99_990, 99_995))]],
+                "missing face",
+            ),
+        ],
+    )
+    def test_rejects(self, cells, message):
+        with pytest.raises(InputValidationError, match=message):
+            nerve._facet_table([np.array(c, dtype=np.int64).reshape(-1, p + 1) for p, c in enumerate(cells)])
+
+    def test_unordered_cells_still_make_a_complex(self):
+        # Rows out of lexicographic order get no carried table; the complex
+        # derives it when checked.
+        K = make_filtered_complex([np.array([[1], [0]]), np.array([[0, 1]])], [0.0, 1.0, 2.0], dim_cap=1)
+        assert K._facets is None
+        assert K.simplices == ((1,), (0,), (0, 1))
+        assert [f.tolist() for f in K.facet_indices()] == [[[], []], [[1, 0]]]
+
+
+class TestValidateOnce:
+    def test_pipeline_scans_few_matrices(self, monkeypatch):
+        from sparsenerve import cover, model, sparsify, truncation
+
+        calls = []
+        original = model.as_extended_matrix
+
+        def counted(values):
+            calls.append(np.shape(getattr(values, "values", values)))
+            return original(values)
+
+        for module in (model, cover, truncation, sparsify, nerve):
+            if hasattr(module, "as_extended_matrix"):
+                monkeypatch.setattr(module, "as_extended_matrix", counted)
+        dd = distance_matrix(PointCloud(sample_clifford_torus(60, 0).points))
+        for spec in ("mult:1.5", "id", "poly:0.3,1,0,0.5"):
+            calls.clear()
+            sparse_dowker_nerve(dd, TranslationFunction.parse(spec), 1)
+            assert len(calls) <= 3, calls
+
+    @pytest.mark.parametrize("bad, message", [(np.nan, "NaN entry"), (-1.0, "negative entry")])
+    def test_public_entry_points_still_reject(self, bad, message):
+        from sparsenerve.cover import cover_matrix
+        from sparsenerve.sparsify import restriction_times
+        from sparsenerve.truncation import farthest_point_sampling
+
+        lam = LINE3.copy()
+        lam[0, 2] = bad
+        phi = ParentFunction(parent=[0, 0, 1])
+        calls = [
+            lambda: DowkerDissimilarity(lam),
+            lambda: cover_matrix(lam),
+            lambda: cover_matrix(LINE3, lam),
+            lambda: farthest_point_sampling(lam, LINE3),
+            lambda: farthest_point_sampling(LINE3, lam),
+            lambda: restriction_times(phi, lam, LINE3),
+            lambda: restriction_times(phi, LINE3, lam),
+            lambda: maximal_faces(lam, RestrictionTimes(times=np.array([INF, 1.0, 1.0]), tree=phi), frozenset()),
+            lambda: filtration_values(lam, [np.array([[0]])]),
+            lambda: full_dowker_nerve(lam, 1),
+            lambda: sparse_dowker_nerve(lam, TranslationFunction.identity(), 1),
+        ]
+        for call in calls:
+            with pytest.raises(InputValidationError, match=message):
+                call()
+
+    def test_translation_below_zero_is_rejected(self):
+        # A tabulated alpha may dip below zero between the points it is
+        # checked at; alpha(Lambda) is still validated once.
+        t, h = 0.3, 1e-7  # 0.3 lies half a step from the nearest check
+        alpha = TranslationFunction.tabulated(
+            [0.0, t - h, t, t + h, 10.0], [0.0, t - h, -1.0, t + h, 10.0]
+        )
+        lam = np.array([[0.0, t], [t, 0.0]])
+        with pytest.raises(InputValidationError, match="negative entry"):
+            sparse_dowker_nerve(DowkerDissimilarity(lam), alpha, 1)
 
 
 class TestSparseNervePipeline:

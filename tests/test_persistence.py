@@ -1,8 +1,11 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsenerve import persistence
 from sparsenerve.ingest import (
     PointCloud,
     distance_matrix,
@@ -414,6 +417,105 @@ class TestReduceCohomology:
 
         check()
         assert max(additions) > 0
+
+
+def _twist_up_to(facets, dims, top):
+    """``_reduce_twist``'s pairs and essentials with births in dimensions <= top."""
+    pairs, essential = _reduce_twist(facet_lists(facets, dims), dims)
+    return (
+        [p for p in pairs if dims[p[0]] <= top],
+        [i for i in essential if dims[i] <= top],
+    )
+
+
+@st.composite
+def tied_matrices(draw):
+    """Integer Lambda with entries in {0, 1, 2}: values tie heavily."""
+    rows, cols = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    entries = draw(st.lists(st.integers(0, 2), min_size=rows * cols, max_size=rows * cols))
+    return np.reshape(entries, (rows, cols)).astype(float)
+
+
+class _RecordingNumpy:
+    """numpy, except that ``zeros`` keeps every array it makes in ``made``."""
+
+    def __init__(self):
+        self.made = []
+
+    def zeros(self, *args, **kwargs):
+        a = np.zeros(*args, **kwargs)
+        self.made.append(a)
+        return a
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+class TestDenseColumn:
+    """The boolean working column of ``_reduce_cohomology`` against ``_reduce_twist``."""
+
+    @staticmethod
+    def reduce_both(K, top):
+        facets, dims = _boundary_columns(K)
+        pairs, essential = _reduce_cohomology(facets, dims, top)
+        assert (pairs, essential) == _twist_up_to(facets, dims, top)
+        return pairs, essential, dims
+
+    def test_hollow_triangle_is_essential_in_dimension_1(self):
+        K = make_filtered_complex(
+            {(0,): 0.0, (1,): 0.0, (2,): 0.0, (0, 1): 1.0, (0, 2): 1.0, (1, 2): 2.0},
+            dim_cap=2,
+        )
+        _, essential, dims = self.reduce_both(K, 1)
+        assert [dims[i] for i in essential] == [0, 1]
+        assert compute_persistence(K, 1).in_dimension(1) == [(2.0, INF)]
+
+    def test_tetrahedron_boundary_is_essential_in_dimension_2(self):
+        vertices = range(4)
+        values = {s: float(len(s) - 1) for k in (1, 2, 3) for s in combinations(vertices, k)}
+        K = make_filtered_complex(values, dim_cap=3)
+        pairs, essential, dims = self.reduce_both(K, 2)
+        assert [dims[i] for i in essential] == [0, 2]
+        assert compute_persistence(K, 2).in_dimension(2) == [(2.0, INF)]
+
+    def test_essential_cocycle_with_cofaces(self):
+        # The cycle 0-1-3 has no triangle, and the triangle 1-2-3 enters with
+        # the last edges.  Found by search: the essential edge has a coface,
+        # so its column reaches zero by an addition, not by being empty.
+        lam = np.array([[0, 0, INF], [0, INF, 2], [INF, INF, 2], [INF, 1, 1]])
+        K = full_dowker_nerve(lam, 1)
+        assert (1, 2, 3) in K.simplices and (0, 1, 3) not in K.simplices
+        _, essential, dims = self.reduce_both(K, 1)
+        assert [dims[i] for i in essential] == [0, 1]
+
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_top_dimension_has_no_cofaces(self, rng, d):
+        for _ in range(10):
+            K = full_dowker_nerve(random_dissimilarity(rng, max_side=5), d)
+            self.reduce_both(K, d + 1)
+
+    def test_adds_a_reduced_column(self):
+        # Found by search: the pairs differ from the twist reduction's if a
+        # reduced column is stored as its unreduced coboundary.
+        lam = np.array(
+            [[1, 0, 2, 2], [2, 2, 1, 2], [2, 1, 1, 1], [0, 2, 0, 1], [1, 2, 1, 1]], float
+        )
+        self.reduce_both(full_dowker_nerve(lam, 1), 2)
+
+    @pytest.mark.parametrize("top", [1, 2, 3])
+    def test_work_is_cleared_after_each_dimension(self, monkeypatch, top):
+        recording = _RecordingNumpy()
+        monkeypatch.setattr(persistence, "np", recording)
+        K = full_dowker_nerve(random_dissimilarity(np.random.default_rng(top), 7), 2)
+        self.reduce_both(K, top)
+        work = [a for a in recording.made if a.dtype == bool]
+        assert len(work) == top
+        assert not any(a.any() for a in work)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lam=tied_matrices())
+    def test_matches_twist_with_heavy_ties(self, lam):
+        self.reduce_both(full_dowker_nerve(lam, 2), 2)
 
 
 class TestInterleavingLine:
