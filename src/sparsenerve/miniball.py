@@ -18,6 +18,17 @@ that needs no facets; ``facet_balls`` falls back to it for the rows whose
 own circumball is unusable.  ``miniball`` is Welzl's algorithm (Welzl
 1991) on one point set; it is the independent oracle behind
 ``full_ambient_cech`` and the tests.
+
+The batch kernels work coordinate-major: points are the ``(D, n)``
+transpose of the cloud, centers ``(D, m)``, and a batch of sets of k
+points is gathered by ``np.take`` into ``(D, k, rows)``, so each
+coordinate of each vertex position is one contiguous run over the rows.
+A norm or dot product is D whole-run operations summed across the
+coordinates by ``_sum_axes``, in the order numpy sums a short last axis,
+so the values are those of a ``(rows, k, D)`` layout bit for bit, with no
+reduction over a short trailing axis; tests over the k vertices are k
+whole-run operations too.  A batch holds about ``CHUNK`` coordinates
+(rows x k x D).
 """
 
 from __future__ import annotations
@@ -31,10 +42,13 @@ from .model import InputValidationError
 
 TOLERANCE = 1e-9
 
-# Sets per batch in ``enclosing_radii`` and ``facet_balls``: large enough
-# that numpy's per-call cost is spread thin, small enough that the
-# temporaries stay below a few MiB.
-CHUNK = 1024
+# Coordinates (rows x k x D) per batch in ``enclosing_radii`` and
+# ``facet_balls``: 128 KiB per float temporary, 1,024 tetrahedra in R^4.
+# Whole ambient_torus operations measured this faster than 2^15, whose
+# 256 KiB temporaries came back from the allocator as fresh pages (about
+# 300 page faults per operation), than 2^13, and than one batch per
+# cardinality.
+CHUNK = 1 << 14
 
 
 def _circumsphere(S: np.ndarray):
@@ -99,96 +113,145 @@ def enclosing_radii(X, simplices):
     ``(m, k)`` integer array of vertex indices, all sets of the same
     cardinality k.  For every vertex subset T of size at most
     min(k, D + 1), the circumball of T with its center in the affine hull
-    of T is built for ``CHUNK`` sets at a time; it counts if every vertex
+    of T is built for a batch of sets at a time; it counts if every vertex
     lies within ``r + TOLERANCE * (1 + r)``, the rule ``miniball`` uses.
     Returns the radii, the smallest r that counts (inf if none does), and
     the ``(m, D)`` centers of those balls.  It builds up to 2^k - 1 balls
-    per set, so ``facet_balls`` calls it only for the rows its own rule
-    cannot settle.
+    per set, so ``facet_balls`` runs this search (``_search``) only for
+    the rows its own rule cannot settle.
     """
-    X = np.asarray(X, dtype=float)
-    S = np.asarray(simplices, dtype=np.intp)
-    k = S.shape[1]
+    XT = np.ascontiguousarray(np.asarray(X, dtype=float).T)
+    radii, centers = _search(XT, np.asarray(simplices, dtype=np.intp))
+    return radii, np.ascontiguousarray(centers.T)
+
+
+def _search(XT, S):
+    """``enclosing_radii`` on ``(D, n)`` points; returns ``(D, m)`` centers."""
+    D, (m, k) = XT.shape[0], S.shape
     subsets = [
-        T for size in range(1, min(k, X.shape[1] + 1) + 1)
+        T for size in range(1, min(k, D + 1) + 1)
         for T in combinations(range(k), size)
     ]
-    radii = np.empty(S.shape[0])
-    centers = np.empty((S.shape[0], X.shape[1]))
+    radii = np.empty(m)
+    centers = np.empty((D, m))
+    step = max(1, CHUNK // max(1, k * D))
     # Affinely dependent subsets may give non-finite or huge centers; the
     # containment test judges their balls like any other, without warnings.
     with np.errstate(all="ignore"):
-        for start in range(0, S.shape[0], CHUNK):
-            P = X[S[start : start + CHUNK]]  # (chunk, k, D)
-            best = np.full(P.shape[0], np.inf)
+        for start in range(0, m, step):
+            P = np.take(XT, S[start : start + step].T, axis=1)  # (D, k, rows)
+            best = np.full(P.shape[2], np.inf)
             best_center = np.full(P.shape[::2], np.nan)
             for T in subsets:
                 center, radius = _circumballs(P[:, T])
-                better = _holds(P, center, radius).all(axis=1) & (radius < best)
+                better = _holds(P, center, radius).all(axis=0) & (radius < best)
                 best = np.where(better, radius, best)
-                best_center[better] = center[better]
-            radii[start : start + CHUNK] = best
-            centers[start : start + CHUNK] = best_center
+                best_center[:, better] = center[:, better]
+            radii[start : start + step] = best
+            centers[:, start : start + step] = best_center
     return radii, centers
 
 
-def facet_balls(X, simplices, facets, facet_radii, facet_centers):
+def facet_balls(XT, simplices, facets, facet_radii, facet_centers):
     """Smallest enclosing balls of the rows of ``simplices``, from their facets' balls.
 
-    ``simplices`` is an ``(m, k)`` array of increasing vertex rows, k >= 2,
-    and column j of ``facets`` the row, among the (k-1)-sets whose balls
-    are ``facet_radii`` and ``facet_centers``, of the facet without vertex
-    k - 1 - j (``nerve._facet_table`` order).  A row's radius is the smallest
-    radius of a facet ball that holds the opposite vertex, by the rule of
-    ``miniball``; if none does, it is the row's own circumball, checked to
-    hold every vertex.  A row whose circumball is non-finite or fails that
-    check, or that has more than D + 1 vertices, goes to ``enclosing_radii``.
-    Works ``CHUNK`` rows at a time and returns the radii and the ``(m, D)``
-    centers, for the next cardinality.
+    ``XT`` is the ``(D, n)`` transpose of the points, ``simplices`` an
+    ``(m, k)`` array of increasing vertex rows, k >= 2, and column j of
+    ``facets`` the row, among the (k-1)-sets whose balls are
+    ``facet_radii`` and the ``(D, m')`` ``facet_centers``, of the facet
+    without vertex k - 1 - j (``nerve._facet_table`` order).  A row's
+    radius is the smallest radius of a facet ball that holds the opposite
+    vertex, by the rule of ``miniball``; if none does, it is the row's own
+    circumball, checked to hold every vertex.  A row whose circumball is
+    non-finite or fails that check, or that has more than D + 1 vertices,
+    goes to the search of ``enclosing_radii``.  Both passes, the facet test
+    over all rows and then the circumballs of the rows no facet ball
+    settles, work in batches of about ``CHUNK`` coordinates.  Returns the
+    radii and the ``(D, m)`` centers, for the next cardinality.
     """
-    X = np.asarray(X, dtype=float)
     S = np.asarray(simplices, dtype=np.intp)
-    radii = np.empty(S.shape[0])
-    centers = np.empty((S.shape[0], X.shape[1]))
+    D, (m, k) = XT.shape[0], S.shape
+    radii = np.empty(m)
+    centers = np.empty((D, m))
+    step = max(1, CHUNK // (k * D))
+    unheld = [np.zeros(0, dtype=np.intp)]  # rows that no facet ball holds
     with np.errstate(all="ignore"):
-        for start in range(0, S.shape[0], CHUNK):
-            rows = S[start : start + CHUNK]
-            f = facets[start : start + CHUNK]
-            r = facet_radii[f]  # (chunk, k)
+        for start in range(0, m, step):
+            f = facets[start : start + step]
+            r = facet_radii[f.T]  # (k, rows)
             # Facet j omits vertex k - 1 - j.
-            held = _holds(X[rows[:, ::-1]], facet_centers[f], r)
-            j = np.argmin(np.where(held, r, np.inf), axis=1)
-            at = np.arange(len(rows))
-            radius, center = r[at, j], facet_centers[f[at, j]]
-            own = np.flatnonzero(~held.any(axis=1))
-            if own.size:
-                P = X[rows[own]]
-                c, rr = _circumballs(P)
-                # More than D + 1 points are affinely dependent: some facet
-                # ball should have held them, and their circumball is arbitrary.
-                bad = ~(np.isfinite(c).all(axis=1) & _holds(P, c, rr).all(axis=1))
-                bad |= S.shape[1] > X.shape[1] + 1
-                if bad.any():
-                    rr[bad], c[bad] = enclosing_radii(X, rows[own[bad]])
-                radius[own], center[own] = rr, c
-            radii[start : start + CHUNK] = radius
-            centers[start : start + CHUNK] = center
+            P = np.take(XT, S[start : start + step].T[::-1], axis=1)
+            held = _holds(P, np.take(facet_centers, f.T, axis=1), r)
+            j = np.argmin(np.where(held, r, np.inf), axis=0)
+            at = np.arange(len(f))
+            radii[start : start + step] = r[j, at]
+            centers[:, start : start + step] = np.take(facet_centers, f[at, j], axis=1)
+            unheld.append(start + np.flatnonzero(~held.any(axis=0)))
+        own = np.concatenate(unheld)
+        for start in range(0, len(own), step):
+            rows = own[start : start + step]
+            Q = np.take(XT, S[rows].T, axis=1)
+            c, rr = _circumballs(Q)
+            # More than D + 1 points are affinely dependent: some facet
+            # ball should have held them, and their circumball is arbitrary.
+            bad = ~(np.isfinite(c).all(axis=0) & _holds(Q, c, rr).all(axis=0))
+            bad |= k > D + 1
+            if bad.any():
+                rr[bad], c[:, bad] = _search(XT, S[rows[bad]])
+            radii[rows], centers[:, rows] = rr, c
     return radii, centers
+
+
+def _sum_axes(A):
+    """``A.sum(axis=0)`` in the order numpy sums a contiguous last axis; overwrites A.
+
+    ``np.add.reduce`` over a last axis of n < 8 entries adds them in turn;
+    from 8 up it keeps eight running sums, adds them pairwise, then the
+    remainder in turn, and above 128 entries it splits in two first
+    (numpy's pairwise summation).  Following it on whole ``A[i]`` blocks
+    gives the trailing-axis sums of the transposed array bit for bit.
+    """
+    n = len(A)
+    if n == 0:
+        return np.zeros(A.shape[1:])
+    if n < 8:
+        s = A[0]
+        for a in A[1:]:
+            s += a
+        return s
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum_axes(A[:half]) + _sum_axes(A[half:])
+    r, end = A[:8], n - n % 8
+    for i in range(8, end, 8):
+        r += A[i : i + 8]
+    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for a in A[end:]:
+        s += a
+    return s
+
+
+def _dot(U, V):
+    """Dot products of the ``(D, ...)`` vectors of U and V, over axis 0."""
+    return _sum_axes(U * V)
 
 
 def _holds(P, center, radius):
-    """Whether each point of ``P`` (m, t, D) lies within ``r + TOLERANCE * (1 + r)``.
+    """Whether each point of ``P`` (D, t, m) lies within ``r + TOLERANCE * (1 + r)``.
 
     The containment rule of ``miniball``.  Each point has its own ball for
-    (m, t, D) centers and (m, t) radii; each set shares one for (m, D) and (m,).
+    (D, t, m) centers and (t, m) radii; each set shares one for (D, m) and
+    (m,).  Returns a (t, m) mask.
     """
     if center.ndim == 2:
-        center, radius = center[:, None, :], radius[:, None]
-    return np.linalg.norm(P - center, axis=2) <= radius + TOLERANCE * (1.0 + radius)
+        center = center[:, None]
+    d = P - center
+    d *= d
+    return np.sqrt(_sum_axes(d)) <= radius + TOLERANCE * (1.0 + radius)
 
 
 def _circumballs(Q: np.ndarray):
-    """Centers and radii of the circumballs of ``m`` point sets ``(m, t, D)``.
+    """Centers ``(D, m)`` and radii of the circumballs of ``m`` point sets ``(D, t, m)``.
 
     The center starts at Q0 and takes in one vertex at a time: with e the
     unit part of the vertex's edge u = Qi - Q0 orthogonal to the earlier
@@ -201,20 +264,21 @@ def _circumballs(Q: np.ndarray):
     arbitrary; that is harmless, as the caller keeps only balls that hold
     every vertex, and the smallest enclosing ball needs no dependent set.
     """
+    Q0 = Q[:, 0]
     if Q.shape[1] == 1:
-        return Q[:, 0], np.zeros(Q.shape[0])
-    c = np.zeros_like(Q[:, 0])  # center - Q0
+        return Q0, np.zeros(Q.shape[2])
+    c = np.zeros_like(Q0)  # center - Q0
     basis = []
     for i in range(1, Q.shape[1]):
-        u = Q[:, i] - Q[:, 0]
+        u = Q[:, i] - Q0
         v = u
         for e in basis:
-            v = v - np.sum(v * e, axis=1, keepdims=True) * e
-        length = np.linalg.norm(v, axis=1, keepdims=True)
+            v = v - _dot(v, e) * e
+        length = np.sqrt(_dot(v, v))
         e = v / length
         # |c + t e - u| = |c + t e| holds for t = (|u|^2 / 2 - u.c) / (u.e),
         # and u.e = length; s is the numerator.
-        s = 0.5 * np.sum(u * u, axis=1, keepdims=True) - np.sum(u * c, axis=1, keepdims=True)
+        s = 0.5 * _dot(u, u) - _dot(u, c)
         c = c + (s / length) * e
         basis.append(e)
-    return Q[:, 0] + c, np.linalg.norm(c, axis=1)
+    return Q0 + c, np.sqrt(_dot(c, c))

@@ -384,14 +384,11 @@ def slope_points(phi: ParentFunction, R: RestrictionTimes) -> frozenset:
     rule during face construction; the rule is what keeps a removed point
     from re-entering faces at its own removal time.
     """
-    times = R.times
-    slope = []
-    children = phi.children()
-    for l in range(len(phi)):
-        r_children = max((times[c] for c in children[l]), default=0.0)
-        if np.isfinite(times[l]) and r_children < times[l]:
-            slope.append(l)
-    return frozenset(slope)
+    times, parent = R.times, phi.parent
+    child = np.flatnonzero(parent != np.arange(len(parent)))
+    r_children = np.zeros(len(parent))
+    np.maximum.at(r_children, parent[child], times[child])
+    return frozenset(np.flatnonzero(np.isfinite(times) & (r_children < times)).tolist())
 
 
 def maximal_faces(gamma, R: RestrictionTimes, S: frozenset) -> Faces:
@@ -721,13 +718,20 @@ def ambient_radii(X, cells, facets) -> np.ndarray:
     comes from its facets' balls (``miniball.facet_balls``), and its value
     is lifted to the largest value of its facets in the same pass, which
     removes the epsilon-scale violations of monotonicity rounding can leave.
+    The balls' centers go up as ``(D, m)`` arrays, coordinate-major like
+    the points, which are transposed once.
     """
-    X = np.asarray(X, dtype=float)
-    radii, centers = np.zeros(len(cells[0])), X[cells[0][:, 0]]
+    XT = np.ascontiguousarray(np.asarray(X, dtype=float).T)
+    radii, centers = np.zeros(len(cells[0])), np.take(XT, cells[0][:, 0], axis=1)
     values = [radii]
     for k in range(1, len(cells)):
-        radii, centers = facet_balls(X, cells[k], facets[k], radii, centers)
-        values.append(np.maximum(radii, values[-1][facets[k]].max(axis=1)))
+        radii, centers = facet_balls(XT, cells[k], facets[k], radii, centers)
+        # One maximum per facet column: numpy's max over a row of k is slow.
+        below = np.take(values[-1], facets[k].T)
+        value = np.maximum(radii, below[0])
+        for column in below[1:]:
+            np.maximum(value, column, out=value)
+        values.append(value)
     return np.concatenate(values)
 
 

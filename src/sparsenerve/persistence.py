@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -188,17 +189,16 @@ def compute_persistence(K: FilteredComplex, max_dim: int) -> PersistenceDiagram:
         raise InputValidationError(f"max_dim must be >= 0, got {max_dim}")
     facets, dims = _boundary_columns(K)
     pairs, essential = _reduce_cohomology(facets, dims, max_dim)
-    values, dims = K.values.tolist(), dims.tolist()
-    points = []
-    zero_length = 0
-    for birth, death in pairs:
-        b, d = values[birth], values[death]
-        if b == d:
-            zero_length += 1
-        else:
-            points.append((dims[birth], b, d))
-    points.extend((dims[i], values[i], INF) for i in essential)
-    return PersistenceDiagram(points=tuple(points), n_zero_length=zero_length)
+    pairs = np.fromiter(chain.from_iterable(pairs), np.intp, 2 * len(pairs)).reshape(-1, 2)
+    born = np.concatenate([pairs[:, 0], np.array(essential, dtype=np.intp)])
+    births = K.values[born]
+    deaths = np.concatenate([K.values[pairs[:, 1]], np.full(len(essential), INF)])
+    kept = births != deaths
+    kept[len(pairs) :] = True  # an essential class born at inf is still a point
+    points = zip(dims[born[kept]].tolist(), births[kept].tolist(), deaths[kept].tolist())
+    return PersistenceDiagram(
+        points=tuple(points), n_zero_length=len(kept) - int(np.count_nonzero(kept))
+    )
 
 
 @dataclass(frozen=True)

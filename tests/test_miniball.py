@@ -7,9 +7,100 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sparsenerve.miniball import enclosing_radii, miniball
+from sparsenerve.miniball import TOLERANCE, enclosing_radii, miniball
 from sparsenerve.model import InputValidationError
 from sparsenerve.nerve import _combinations, _facet_table, ambient_radii
+
+
+# The batch kernels in their (rows, k, D) layout, reducing over the short
+# trailing D axis: the oracle that the coordinate-major kernels must match
+# bit for bit.
+ORACLE_CHUNK = 1024
+
+
+def oracle_holds(P, center, radius):
+    if center.ndim == 2:
+        center, radius = center[:, None, :], radius[:, None]
+    return np.linalg.norm(P - center, axis=2) <= radius + TOLERANCE * (1.0 + radius)
+
+
+def oracle_circumballs(Q):
+    if Q.shape[1] == 1:
+        return Q[:, 0], np.zeros(Q.shape[0])
+    c = np.zeros_like(Q[:, 0])
+    basis = []
+    for i in range(1, Q.shape[1]):
+        u = Q[:, i] - Q[:, 0]
+        v = u
+        for e in basis:
+            v = v - np.sum(v * e, axis=1, keepdims=True) * e
+        length = np.linalg.norm(v, axis=1, keepdims=True)
+        e = v / length
+        s = 0.5 * np.sum(u * u, axis=1, keepdims=True) - np.sum(u * c, axis=1, keepdims=True)
+        c = c + (s / length) * e
+        basis.append(e)
+    return Q[:, 0] + c, np.linalg.norm(c, axis=1)
+
+
+def oracle_enclosing_radii(X, simplices):
+    X = np.asarray(X, dtype=float)
+    S = np.asarray(simplices, dtype=np.intp)
+    k = S.shape[1]
+    subsets = [
+        T for size in range(1, min(k, X.shape[1] + 1) + 1)
+        for T in combinations(range(k), size)
+    ]
+    radii = np.empty(S.shape[0])
+    centers = np.empty((S.shape[0], X.shape[1]))
+    with np.errstate(all="ignore"):
+        for start in range(0, S.shape[0], ORACLE_CHUNK):
+            P = X[S[start : start + ORACLE_CHUNK]]
+            best = np.full(P.shape[0], np.inf)
+            best_center = np.full(P.shape[::2], np.nan)
+            for T in subsets:
+                center, radius = oracle_circumballs(P[:, T])
+                better = oracle_holds(P, center, radius).all(axis=1) & (radius < best)
+                best = np.where(better, radius, best)
+                best_center[better] = center[better]
+            radii[start : start + ORACLE_CHUNK] = best
+            centers[start : start + ORACLE_CHUNK] = best_center
+    return radii, centers
+
+
+def oracle_facet_balls(X, S, facets, facet_radii, facet_centers):
+    radii = np.empty(S.shape[0])
+    centers = np.empty((S.shape[0], X.shape[1]))
+    with np.errstate(all="ignore"):
+        for start in range(0, S.shape[0], ORACLE_CHUNK):
+            rows = S[start : start + ORACLE_CHUNK]
+            f = facets[start : start + ORACLE_CHUNK]
+            r = facet_radii[f]
+            held = oracle_holds(X[rows[:, ::-1]], facet_centers[f], r)
+            j = np.argmin(np.where(held, r, np.inf), axis=1)
+            at = np.arange(len(rows))
+            radius, center = r[at, j], facet_centers[f[at, j]]
+            own = np.flatnonzero(~held.any(axis=1))
+            if own.size:
+                P = X[rows[own]]
+                c, rr = oracle_circumballs(P)
+                bad = ~(np.isfinite(c).all(axis=1) & oracle_holds(P, c, rr).all(axis=1))
+                bad |= S.shape[1] > X.shape[1] + 1
+                if bad.any():
+                    rr[bad], c[bad] = oracle_enclosing_radii(X, rows[own[bad]])
+                radius[own], center[own] = rr, c
+            radii[start : start + ORACLE_CHUNK] = radius
+            centers[start : start + ORACLE_CHUNK] = center
+    return radii, centers
+
+
+def oracle_ambient_radii(X, cells, facets):
+    X = np.asarray(X, dtype=float)
+    radii, centers = np.zeros(len(cells[0])), X[cells[0][:, 0]]
+    values = [radii]
+    for k in range(1, len(cells)):
+        radii, centers = oracle_facet_balls(X, cells[k], facets[k], radii, centers)
+        values.append(np.maximum(radii, values[-1][facets[k]].max(axis=1)))
+    return np.concatenate(values)
 
 
 class TestMiniball:
@@ -91,8 +182,8 @@ KINDS = ("grid", "float", "duplicate", "collinear", "cocircular", "needle", "jit
 
 
 @st.composite
-def point_sets(draw, kinds=KINDS, max_points=4):
-    """k <= max_points points in R^D, D <= 4, with degeneracies, at a random scale.
+def point_sets(draw, kinds=KINDS, max_points=4, dims=(1, 4)):
+    """k <= max_points points in R^D, D in ``dims``, with degeneracies, at a random scale.
 
     Grid points repeat and line up; ``duplicate`` copies one point onto
     another, ``collinear`` puts all points on one line, ``cocircular``
@@ -103,7 +194,7 @@ def point_sets(draw, kinds=KINDS, max_points=4):
     about the containment tolerance, so that near-duplicate and
     near-collinear sets are held or missed by a hair.
     """
-    D, k = draw(st.integers(1, 4)), draw(st.integers(1, max_points))
+    D, k = draw(st.integers(*dims)), draw(st.integers(1, max_points))
     scale = 10.0 ** draw(st.floats(-3, 3))
     grid = st.integers(-3, 3)
     kind = draw(st.sampled_from(kinds))
@@ -150,6 +241,12 @@ class TestEnclosingRadii:
     def test_needles_match_welzl(self, X):
         self.check_against_welzl(X)
 
+    @settings(max_examples=100, deadline=None)
+    @given(X=point_sets(max_points=7, dims=(8, 9)))
+    def test_eight_or_nine_axes_match_welzl(self, X):
+        # From 8 axes up the coordinate sums follow numpy's eight partial sums.
+        self.check_against_welzl(X)
+
     @staticmethod
     def check_against_welzl(X):
         k = X.shape[0]
@@ -175,8 +272,9 @@ class TestEnclosingRadii:
         assert enclosing_radii(X, rows)[0] == pytest.approx([expected] * 3, rel=1e-12)
 
     def test_batch_of_subsets(self, monkeypatch):
-        # A small batch size makes every cardinality span several batches.
-        monkeypatch.setattr(importlib.import_module("sparsenerve.miniball"), "CHUNK", 7)
+        # A budget of 24 coordinates is 8 rows of 1 point in R^3 down to 1
+        # row of 5, so every cardinality spans several batches.
+        monkeypatch.setattr(importlib.import_module("sparsenerve.miniball"), "CHUNK", 24)
         rng = np.random.default_rng(5)
         X = rng.normal(size=(9, 3))
         for k in range(1, 6):
@@ -188,11 +286,21 @@ class TestEnclosingRadii:
         radii, centers = enclosing_radii(np.zeros((3, 2)), np.zeros((0, 2), dtype=int))
         assert radii.shape == (0,) and centers.shape == (0, 2)
 
+    def test_zero_dimensional_points(self):
+        # The points of R^0 coincide, so every ball has radius 0.
+        radii, centers = enclosing_radii(np.zeros((3, 0)), np.array([[0, 1], [1, 2]]))
+        assert radii.tolist() == [0.0, 0.0] and centers.shape == (2, 0)
+
+
+def skeleton(n, top=5):
+    """Every vertex set of n points up to cardinality ``top``, and their facet table."""
+    cells = [_combinations(n, k) for k in range(1, min(n, top) + 1)]
+    return cells, _facet_table(cells)
+
 
 def check_skeleton_against_welzl(X):
     """ambient_radii on every vertex set of X up to cardinality 5 against miniball."""
-    cells = [_combinations(X.shape[0], k) for k in range(1, min(X.shape[0], 5) + 1)]
-    facets = _facet_table(cells)
+    cells, facets = skeleton(X.shape[0])
     values = ambient_radii(X, cells, facets)
     parts = np.split(values, np.cumsum([len(c) for c in cells])[:-1])
     for rows, got in zip(cells, parts):
@@ -219,12 +327,17 @@ class TestAmbientRadii:
     def test_degenerate_skeleton_matches_welzl(self, X):
         check_skeleton_against_welzl(X)
 
+    @settings(max_examples=100, deadline=None)
+    @given(X=point_sets(max_points=7, dims=(8, 9)))
+    def test_eight_or_nine_axes_match_welzl(self, X):
+        check_skeleton_against_welzl(X)
+
     def test_fallback_rows_match_welzl(self, monkeypatch):
         # Spoil the own circumball of every other row so that those rows go
         # to the all-subsets search, and check that their balls, carried up
         # to their cofaces, still give Welzl's radii.
         mb = importlib.import_module("sparsenerve.miniball")
-        circumballs, search = mb._circumballs, mb.enclosing_radii
+        circumballs, search = mb._circumballs, mb._search
         searched = []  # rows per search
         searching = []  # non-empty inside a search, which builds true balls
 
@@ -232,21 +345,57 @@ class TestAmbientRadii:
             center, radius = circumballs(Q)
             if not searching:
                 center = center.copy()
-                center[::2] = np.nan
+                center[:, ::2] = np.nan  # (D, m) centers: every other row
             return center, radius
 
-        def counted(X, simplices):
+        def counted(XT, simplices):
             searched.append(len(simplices))
             searching.append(True)
             try:
-                return search(X, simplices)
+                return search(XT, simplices)
             finally:
                 searching.pop()
 
         monkeypatch.setattr(mb, "_circumballs", spoiled)
-        monkeypatch.setattr(mb, "enclosing_radii", counted)
-        monkeypatch.setattr(mb, "CHUNK", 5)
+        monkeypatch.setattr(mb, "_search", counted)
         rng = np.random.default_rng(6)
         for D in (2, 3):
+            # 10 * D coordinates: 5 rows of 2 points down to 2 rows of 5, so
+            # every cardinality from 2 up spans several batches.
+            monkeypatch.setattr(mb, "CHUNK", 10 * D)
             check_skeleton_against_welzl(rng.normal(size=(7, D)))
         assert sum(searched) > 0
+
+
+def assert_same_as_oracle(X):
+    """ambient_radii and enclosing_radii on X's skeleton equal the oracle's, bit for bit."""
+    cells, facets = skeleton(X.shape[0])
+    got = ambient_radii(X, cells, facets)
+    assert got.tobytes() == oracle_ambient_radii(X, cells, facets).tobytes()
+    for rows in cells:
+        radii, centers = enclosing_radii(X, rows)
+        expected_radii, expected_centers = oracle_enclosing_radii(X, rows)
+        assert radii.tobytes() == expected_radii.tobytes()
+        np.testing.assert_array_equal(centers, expected_centers)
+
+
+class TestTrailingAxisOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(X=point_sets(max_points=7, dims=(1, 9)))
+    def test_point_sets(self, X):
+        assert_same_as_oracle(X)
+
+    @pytest.mark.parametrize("D", [1, 2, 7, 8, 9, 16, 17, 23, 128, 129, 300])
+    def test_sums_follow_numpy(self, D):
+        # Terms of mixed magnitude, so that another order rounds differently.
+        rng = np.random.default_rng(D)
+        Z = rng.normal(size=(50, D)) * 10.0 ** rng.integers(-8, 8, size=(50, D))
+        got = importlib.import_module("sparsenerve.miniball")._sum_axes(Z.T.copy())
+        assert got.tobytes() == np.sum(Z, axis=-1).tobytes()
+
+    @pytest.mark.parametrize("D", range(1, 10))
+    def test_clouds_in_small_batches(self, D, monkeypatch):
+        # 10 points give up to 252 sets per cardinality; a budget of 40 * D
+        # coordinates is 8 rows of 5 points, so they span many batches.
+        monkeypatch.setattr(importlib.import_module("sparsenerve.miniball"), "CHUNK", 40 * D)
+        assert_same_as_oracle(np.random.default_rng(D).normal(size=(10, D)))

@@ -61,6 +61,29 @@ class TestSlopePoints:
         R = RestrictionTimes(times=np.array([INF, 2.0, 2.0]), tree=phi)
         assert slope_points(phi, R) == frozenset({2})
 
+    def test_matches_a_loop_over_children(self, rng):
+        # Random trees, rooted at 0, with times that tie, repeat and run to inf.
+        for _ in range(50):
+            n = int(rng.integers(1, 30))
+            parent = [0] + [int(rng.integers(0, i)) for i in range(1, n)]
+            times = [INF]
+            for i in range(1, n):
+                up = times[parent[i]]
+                if rng.integers(3) == 0:
+                    times.append(up)
+                elif np.isinf(up):
+                    times.append(float(rng.integers(0, 4)))
+                else:
+                    times.append(up * float(rng.integers(0, 3)) / 2)
+            phi = ParentFunction(parent=parent)
+            R = RestrictionTimes(times=np.array(times), tree=phi)
+            children = phi.children()
+            expected = {
+                l for l in range(n)
+                if np.isfinite(times[l]) and max((times[c] for c in children[l]), default=0.0) < times[l]
+            }
+            assert slope_points(phi, R) == frozenset(expected)
+
 
 class TestMaximalFaces:
     def test_single_cell(self):

@@ -268,6 +268,25 @@ class TestComputePersistence:
         assert dg.n_zero_length == 1
         assert dg.points == ((0, 0.0, INF),)
 
+    def test_essential_class_born_at_inf_is_a_point(self):
+        K = make_filtered_complex({(0,): 0.0, (1,): INF}, dim_cap=0)
+        dg = compute_persistence(K, 0)
+        assert dg.n_zero_length == 0
+        assert dg.points == ((0, 0.0, INF), (0, INF, INF))
+
+    def test_points_match_a_loop_over_pairs(self, rng):
+        # The diagram read off the pairs one at a time, as Python floats.
+        for _ in range(30):
+            K = full_dowker_nerve(random_dissimilarity(rng, max_side=6), 2)
+            facets, dims = _boundary_columns(K)
+            pairs, essential = _reduce_cohomology(facets, dims, 1)
+            values, dims = K.values.tolist(), dims.tolist()
+            points = [(dims[b], values[b], values[d]) for b, d in pairs if values[b] != values[d]]
+            points += [(dims[i], values[i], INF) for i in essential]
+            dg = compute_persistence(K, 1)
+            assert dg.points == tuple(sorted(points))
+            assert dg.n_zero_length == len(pairs) - (len(points) - len(essential))
+
     def test_unclosed_complex_rejected(self):
         K = make_filtered_complex({(0,): 0.0, (0, 1): 1.0}, dim_cap=1)
         with pytest.raises(InputValidationError):
