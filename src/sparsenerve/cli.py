@@ -4,8 +4,8 @@ Two subcommands: ``ph`` runs the pipeline on one input and writes diagram,
 stats and plot-data files; ``benchmark`` reproduces the graph-family size
 table against the published reference sizes.
 
-Exit codes: 0 success, 1 invalid input (usage errors included), 2 simplex
-budget exceeded.
+Exit codes: 0 success, 1 invalid input (usage errors included) or an
+allocation the machine cannot serve, 2 simplex budget exceeded.
 The ``ph`` flags except ``--seed`` and ``--initial-point`` can also be set through
 ``SPARSENERVE_*`` environment variables (e.g. ``SPARSENERVE_DIM=2``); explicit
 flags win.
@@ -308,6 +308,9 @@ def main(argv=None) -> int:
         return 2
     except (InputValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

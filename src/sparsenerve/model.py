@@ -49,7 +49,6 @@ class ValidationReport:
     """Outcome of checking a dissimilarity matrix."""
 
     shape: tuple
-    infinite_entries: int
     violations: tuple = ()
 
     @property
@@ -78,11 +77,7 @@ def validate_dissimilarity(values, declared_metric: bool = False) -> ValidationR
             asym = np.nonzero(a != a.T)
             for i, j in list(zip(*asym))[:10]:
                 violations.append(("asymmetric", (int(i), int(j))))
-    return ValidationReport(
-        shape=a.shape,
-        infinite_entries=int(np.isinf(a).sum()),
-        violations=tuple(violations),
-    )
+    return ValidationReport(shape=a.shape, violations=tuple(violations))
 
 
 def extended_values(values) -> np.ndarray:
@@ -117,7 +112,7 @@ class DowkerDissimilarity:
     @classmethod
     def _of_entries(cls, a: np.ndarray) -> "DowkerDissimilarity":
         """Wrap, unscanned and read-only, a matrix made entrywise from checked
-        ones by max, min or doubling, which keep entries in [0, inf]."""
+        ones by max or min, which keep entries in [0, inf]."""
         a.setflags(write=False)
         dd = object.__new__(cls)
         object.__setattr__(dd, "values", a)

@@ -5,9 +5,10 @@ is built from maximal faces emitted once per (restriction time, witness)
 pair and expanded into a (d+1)-skeleton by extension: a k-simplex is a
 (k-1)-simplex extended by a larger vertex that shares a face with all of
 it, so each is made once, in lexicographic order.  The intrinsic and the
-ambient mode share that pipeline and differ only in the filtration values:
-min-max values from the original Lambda, v(sigma) = min over w of max over
-l in sigma of Lambda(l, w), or smallest-enclosing-ball radii of the points.
+ambient mode run one pipeline, skeleton -> facet table -> values ->
+complex, and differ in the values: min-max values from the original
+Lambda, v(sigma) = min over w of max over l in sigma of Lambda(l, w), or
+smallest-enclosing-ball radii of the points on doubled restriction times.
 
 Simplices are stored as integer arrays, one per cardinality k: an (m, k)
 array of strictly increasing vertex rows, looked up by its lexicographic
@@ -125,6 +126,12 @@ def _facet_table(cells, rank=None) -> tuple:
     binomials = _binomials(_vertex_bound(cells), len(cells))
     table, lower = [np.empty((len(c), 0), np.intp) for c in cells[:1]], None
     for k, rows in enumerate(cells, 1):
+        if not len(rows):
+            # Nothing to key or look up; rows above, if any, miss a face.
+            if k > 1:
+                table.append(np.empty((0, k), np.intp))
+            lower = np.empty(0, np.int64)
+            continue
         rising = rows[:, 1:] > rows[:, :-1]
         if (rows[:, 0] < 0).any() or not rising.all():
             bad = np.flatnonzero((rows[:, 0] < 0) | ~rising.all(axis=1))
@@ -618,38 +625,36 @@ class SparseNerveResult:
     restriction: RestrictionTimes
 
 
-def _sparse_skeleton(
-    dd: DowkerDissimilarity,
-    alpha: TranslationFunction,
-    d: int,
-    initial_point: int,
-    max_simplices,
-    scale: float = 1.0,
-):
-    """The pipeline both entry points share, up to filtration values.
+def _sparse_nerve(dd, alpha, d, initial_point, max_simplices, points=None):
+    """The pipeline of both entry points: truncation, R, faces, skeleton,
+    facet table, values, complex.
 
     Truncates Lambda to Gamma (validating alpha; farthest-point sampling
-    computes only the cover entries it needs), reads the restriction times R
-    off the truncation tree, scales them by ``scale``, and expands the
-    maximal faces of the sparse nerve of (Gamma, R) into the (d+1)-skeleton.
-    Returns the truncation, R and the ``Skeleton``; callers assign values
-    and sort by them.
+    computes only the cover entries it needs) and reads R off the
+    truncation tree.  With ``points``, R is doubled and the values are the
+    points' enclosing-ball radii; else they are min-max values from Lambda.
     """
     if d < 0:
         raise InputValidationError("homology dimension must be >= 0")
     if max_simplices is not None and max_simplices < 0:
         raise InputValidationError(f"simplex budget must be >= 0, got {max_simplices}")
     tr = truncation_result(dd, alpha, initial_point)
-    lam, gamma = dd, tr.gamma
-    if scale != 1:
-        # Restriction times are homogeneous in (Lambda, Gamma), and scaling
-        # by a power of two is exact, so this gives exactly ``scale`` times R
-        # (a value too large for a float is inf, as on the extended half line).
-        with np.errstate(over="ignore"):
-            lam, gamma = (DowkerDissimilarity._of_entries(scale * m.values) for m in (lam, gamma))
-    R = restriction_times(tr.tree, lam, gamma)
+    R = restriction_times(tr.tree, dd, tr.gamma)
+    if points is not None:
+        # Restriction times are homogeneous in (Lambda, Gamma), and doubling
+        # is exact: these are the times of (2 Lambda, 2 Gamma).  They are
+        # distances within the bounded spread ``PointCloud`` checks, or inf,
+        # so doubling them cannot overflow.
+        R = RestrictionTimes(times=2.0 * R.times, tree=R.tree)
     faces = maximal_faces(tr.gamma, R, slope_points(tr.tree, R))
-    return tr, R, expand_skeleton(faces, d, max_simplices)
+    cells = expand_skeleton(faces, d, max_simplices).cells
+    facets = _facet_table(cells)
+    if points is None:
+        values = filtration_values(dd, cells)
+    else:
+        values = ambient_radii(points, cells, facets)
+    complex_ = make_filtered_complex(cells, values, dim_cap=d + 1, facets=facets)
+    return SparseNerveResult(complex=complex_, gamma=tr.gamma, phi=tr.tree, restriction=R)
 
 
 def sparse_dowker_nerve(
@@ -671,10 +676,7 @@ def sparse_dowker_nerve(
     """
     if not isinstance(dd, DowkerDissimilarity):
         dd = DowkerDissimilarity(dd)
-    tr, R, skeleton = _sparse_skeleton(dd, alpha, d, initial_point, max_simplices)
-    values = filtration_values(dd, skeleton.cells)
-    complex_ = make_filtered_complex(skeleton.cells, values, dim_cap=d + 1)
-    return SparseNerveResult(complex=complex_, gamma=tr.gamma, phi=tr.tree, restriction=R)
+    return _sparse_nerve(dd, alpha, d, initial_point, max_simplices)
 
 
 def ambient_cech_nerve(
@@ -698,15 +700,7 @@ def ambient_cech_nerve(
     computed.
     """
     X = PointCloud(points).points
-    dd = distance_matrix(X)
-    _, _, skeleton = _sparse_skeleton(
-        dd, alpha, d, initial_point, max_simplices, scale=2.0
-    )
-    cells = skeleton.cells
-    facets = _facet_table(cells)
-    return make_filtered_complex(
-        cells, ambient_radii(X, cells, facets), dim_cap=d + 1, facets=facets
-    )
+    return _sparse_nerve(distance_matrix(X), alpha, d, initial_point, max_simplices, X).complex
 
 
 def ambient_radii(X, cells, facets) -> np.ndarray:
@@ -715,24 +709,18 @@ def ambient_radii(X, cells, facets) -> np.ndarray:
     ``cells`` holds one lexicographic (m, k) vertex array per cardinality
     k = 1, 2, ..., closed under facets, and ``facets`` their
     ``_facet_table``.  Goes up through the cardinalities: each set's ball
-    comes from its facets' balls (``miniball.facet_balls``), and its value
-    is lifted to the largest value of its facets in the same pass, which
-    removes the epsilon-scale violations of monotonicity rounding can leave.
-    The balls' centers go up as ``(D, m)`` arrays, coordinate-major like
-    the points, which are transposed once.
+    comes from its facets' balls (``miniball.facet_balls``).
+    ``_monotone_snap`` then removes the epsilon-scale violations of
+    monotonicity rounding can leave.  The balls' centers go up as ``(D, m)``
+    arrays, coordinate-major like the points, which are transposed once.
     """
     XT = np.ascontiguousarray(np.asarray(X, dtype=float).T)
     radii, centers = np.zeros(len(cells[0])), np.take(XT, cells[0][:, 0], axis=1)
     values = [radii]
     for k in range(1, len(cells)):
         radii, centers = facet_balls(XT, cells[k], facets[k], radii, centers)
-        # One maximum per facet column: numpy's max over a row of k is slow.
-        below = np.take(values[-1], facets[k].T)
-        value = np.maximum(radii, below[0])
-        for column in below[1:]:
-            np.maximum(value, column, out=value)
-        values.append(value)
-    return np.concatenate(values)
+        values.append(radii)
+    return _monotone_snap(np.concatenate(values), facets)
 
 
 def full_ambient_cech(points, d: int) -> FilteredComplex:
@@ -740,19 +728,26 @@ def full_ambient_cech(points, d: int) -> FilteredComplex:
     X = np.asarray(points, dtype=float)
     cells = [_combinations(X.shape[0], k) for k in range(1, d + 3)]
     radii = [miniball(X[row])[1] for c in cells for row in c]
-    return make_filtered_complex(cells, _monotone_snap(cells, radii), dim_cap=d + 1)
+    facets = _facet_table(cells)
+    return make_filtered_complex(
+        cells, _monotone_snap(radii, facets), dim_cap=d + 1, facets=facets
+    )
 
 
-def _monotone_snap(cells, values) -> np.ndarray:
+def _monotone_snap(values, facets) -> np.ndarray:
     """Lift each value to the max over its facets, one cardinality at a time.
 
-    ``cells`` and ``values`` are as ``make_filtered_complex`` takes them.
-    Enclosing-ball radii are monotone under inclusion in exact arithmetic;
-    this removes the epsilon-scale violations Welzl's solver can introduce.
+    ``values`` holds one value per simplex, cardinality after cardinality,
+    and ``facets`` is the simplices' ``_facet_table``.  Enclosing-ball radii
+    are monotone under inclusion in exact arithmetic; this removes the
+    epsilon-scale violations rounding can leave.
     """
     out = np.array(values, dtype=float)
-    parts = np.split(out, np.cumsum([len(c) for c in cells])[:-1])
-    facets = _facet_table(cells)
-    for k in range(1, len(cells)):
-        np.maximum(parts[k], parts[k - 1][facets[k]].max(axis=1), out=parts[k])
+    parts = np.split(out, np.cumsum([len(f) for f in facets])[:-1])
+    for k in range(1, len(facets)):
+        if not len(facets[k]):
+            break  # closed under facets: nothing above either
+        # One maximum per facet column: numpy's max over a row of k is slow.
+        for column in np.take(parts[k - 1], facets[k].T):
+            np.maximum(parts[k], column, out=parts[k])
     return out

@@ -28,6 +28,15 @@ assert main(argv) == 0
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
+# Runs ph on a graph file with the address space capped at 3 GiB, so that an
+# allocation beyond it fails at once instead of taking the machine's memory.
+CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from sparsenerve.cli import main
+sys.exit(main(["ph", "--input", sys.argv[1], "--format", "graph", "--mode", "network"]))
+"""
+
 
 @pytest.fixture
 def square_file(tmp_path):
@@ -177,6 +186,21 @@ class TestPh:
         path.write_text("0 1e300\n")
         assert main(["ph", "--input", str(path), "--format", "graph", "--mode", "network"]) == 2
 
+    def test_out_of_memory_exit_1(self, tmp_path):
+        # 800,000 isolated nodes pass the budget check, but their dense
+        # shortest-path matrix would take 4.66 TiB.
+        path = tmp_path / "g.txt"
+        path.write_text("0 799999\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-c", CAPPED, str(path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 1, done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
     def test_isolated_nodes_stay_small(self, tmp_path):
         # Nodes 1..798 have no edge, so they and node 0 are never
         # restricted: 799 landmarks share R = inf.  Emitting each face once
@@ -197,7 +221,7 @@ class TestPh:
 
     def test_huge_multiplier_warns_nothing(self, tmp_path, square_file):
         # mult:1e308 overflows to inf, the value alpha takes on the extended
-        # half line; so does the ambient mode's doubling of Lambda.
+        # half line.
         for mode in ("intrinsic", "ambient"):
             argv = ["ph", "--input", str(square_file), "--mode", mode,
                     "--interleaving", "mult:1e308", "--out-diagram", str(tmp_path / "d.csv")]

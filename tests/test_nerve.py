@@ -300,7 +300,7 @@ def test_monotone_snap_matches_dict_walk(rng):
             for face in combinations(s, len(s) - 1) if len(s) > 1 else ():
                 v = max(v, oracle[face])
             oracle[s] = v
-        assert _monotone_snap(cells, values).tolist() == list(oracle.values())
+        assert _monotone_snap(values, nerve._facet_table(cells)).tolist() == list(oracle.values())
 
 
 class TestSkeletonSize:
@@ -628,6 +628,22 @@ class TestSparseNervePipeline:
             sparse_dowker_nerve(
                 DowkerDissimilarity(LINE3), TranslationFunction.identity(), -1
             )
+
+    def test_dimension_far_above_the_simplices(self):
+        # The square's nerve ends at its tetrahedron.  d = 500 must give the
+        # same complex and diagram as d = 3, and the facet table must key
+        # only the four non-empty cardinalities, not the 498 empty ones.
+        dd = distance_matrix(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+        runs = []
+        for d in (3, 500):
+            with mock.patch.object(nerve, "_lex_keys", wraps=nerve._lex_keys) as keys:
+                K = sparse_dowker_nerve(dd, TranslationFunction.identity(), d).complex
+            runs.append((K, compute_persistence(K, d).points, keys.call_count))
+        (K, points, calls), (K_high, points_high, calls_high) = runs
+        assert K_high.simplices == K.simplices
+        np.testing.assert_array_equal(K_high.values, K.values)
+        assert points_high == points
+        assert calls_high == calls == 1 + 3 + 4 + 5
 
 
 class TestAmbientCech:

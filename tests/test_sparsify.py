@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sparsenerve.cover import cover_matrix
+from sparsenerve.ingest import distance_matrix
 from sparsenerve.model import (
     INF,
     DowkerDissimilarity,
@@ -111,6 +112,21 @@ class TestRestrictionTimes:
                     if l in _ancestors(phi, x) or x == l
                 ]
                 assert R.times[l] == max(rprime[x] for x in subtree)
+
+    @pytest.mark.parametrize("spec", ["id", "mult:1.5", "add:0.5", "poly:0,1,1e300"])
+    def test_doubling_is_exact(self, spec):
+        # The ambient nerve doubles R; the times of (2 Lambda, 2 Gamma) are
+        # the oracle, bit for bit, at every scale a cloud may have.
+        rng = np.random.default_rng(3)
+        alpha = TranslationFunction.parse(spec)
+        for _ in range(40):
+            X = rng.normal(size=(int(rng.integers(2, 15)), int(rng.integers(1, 5))))
+            dd = distance_matrix(X * 10.0 ** int(rng.integers(-100, 101)))
+            tr = truncation_result(dd, alpha)
+            R = restriction_times(tr.tree, dd, tr.gamma)
+            with np.errstate(over="ignore"):  # 2 Gamma may overflow to inf
+                oracle = restriction_times(tr.tree, 2.0 * dd.values, 2.0 * tr.gamma.values)
+            assert (2.0 * R.times).tobytes() == oracle.times.tobytes()
 
 
 def _ancestors(phi, x):
