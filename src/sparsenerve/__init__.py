@@ -21,7 +21,6 @@ from .model import (
     RestrictionTimes,
     SizeLimitError,
     TranslationFunction,
-    validate_dissimilarity,
 )
 from .nerve import (
     FilteredComplex,
@@ -85,7 +84,6 @@ __all__ = [
     "truncate",
     "truncation_result",
     "truncation_tree",
-    "validate_dissimilarity",
 ]
 
 __version__ = "0.1.0"

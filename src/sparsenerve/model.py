@@ -44,42 +44,6 @@ def as_extended_matrix(values) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of checking a dissimilarity matrix."""
-
-    shape: tuple
-    violations: tuple = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_dissimilarity(values, declared_metric: bool = False) -> ValidationReport:
-    """Check a candidate Dowker dissimilarity matrix.
-
-    Shape, NaN and negativity problems raise ``InputValidationError``.
-    Metric-only problems (asymmetry, nonzero diagonal) are collected in the
-    report so callers can decide how strict to be.
-    """
-    a = as_extended_matrix(values)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise InputValidationError(f"expected a nonempty 2-d matrix, got shape {a.shape}")
-    violations = []
-    if declared_metric:
-        if a.shape[0] != a.shape[1]:
-            violations.append(("not-square", a.shape))
-        else:
-            diag = np.nonzero(np.diagonal(a) != 0)[0]
-            for i in diag[:10]:
-                violations.append(("nonzero-diagonal", (int(i), int(i))))
-            asym = np.nonzero(a != a.T)
-            for i, j in list(zip(*asym))[:10]:
-                violations.append(("asymmetric", (int(i), int(j))))
-    return ValidationReport(shape=a.shape, violations=tuple(violations))
-
-
 def extended_values(values) -> np.ndarray:
     """A ``DowkerDissimilarity``'s checked matrix, else ``as_extended_matrix(values)``."""
     if isinstance(values, DowkerDissimilarity):
@@ -100,12 +64,23 @@ class DowkerDissimilarity:
     metric: bool = False
 
     def __post_init__(self):
-        report = validate_dissimilarity(self.values, declared_metric=self.metric)
-        if not report.ok:
-            raise InputValidationError(
-                f"declared-metric violations: {report.violations[:5]}"
-            )
         a = np.array(getattr(self.values, "values", self.values), dtype=float)
+        as_extended_matrix(a)
+        if a.ndim != 2 or 0 in a.shape:
+            raise InputValidationError(f"expected a nonempty 2-d matrix, got shape {a.shape}")
+        if self.metric:
+            if a.shape[0] != a.shape[1]:
+                raise InputValidationError(f"a metric must be square, got shape {a.shape}")
+            bad = np.flatnonzero(np.diagonal(a))
+            if bad.size:
+                i = bad[0]
+                raise InputValidationError(f"metric has diagonal entry {a[i, i]} at ({i}, {i})")
+            bad = np.argwhere(a != a.T)
+            if bad.size:
+                i, j = bad[0]
+                raise InputValidationError(
+                    f"metric is not symmetric: {a[i, j]} at ({i}, {j}), {a[j, i]} at ({j}, {i})"
+                )
         a.setflags(write=False)
         object.__setattr__(self, "values", a)
 
@@ -128,30 +103,19 @@ class DowkerDissimilarity:
 class TranslationFunction:
     """A non-decreasing map alpha on [0, inf] with alpha(t) >= t.
 
-    Supported kinds: identity, additive (t + a, a >= 0), multiplicative
-    (c * t, c >= 1), polynomial (ascending coefficients), and tabulated
-    (piecewise-linear through given knots, extended additively beyond the
-    last knot).  Polynomial and tabulated instances are checked by dense
+    Two kinds: ``polynomial`` (ascending coefficients c0, c1, ...) and
+    ``tabulated`` (piecewise-linear through given knots, extended additively
+    beyond the last knot).  The identity t, the additive t + a (a >= 0) and
+    the multiplicative c * t (c >= 1) are the polynomials (0, 1), (a, 1) and
+    (0, c).  A degree-1 polynomial c0 + c1 * t is checked exactly: c0 >= 0
+    and c1 >= 1.  Other polynomials and tables are checked by dense
     sampling; call :meth:`validate_on` with the data scale before use in a
     pipeline.
     """
 
-    def __init__(self, kind: str, params=None):
+    def __init__(self, kind: str, params):
         self.kind = kind
-        self.params = params
-        if kind == "identity":
-            pass
-        elif kind == "additive":
-            if not (np.isfinite(params) and params >= 0):
-                raise InputValidationError(
-                    f"additive shift must be finite and >= 0, got {params}"
-                )
-        elif kind == "multiplicative":
-            if not (np.isfinite(params) and params >= 1):
-                raise InputValidationError(
-                    f"multiplicative constant must be finite and >= 1, got {params}"
-                )
-        elif kind == "polynomial":
+        if kind == "polynomial":
             self.params = tuple(float(c) for c in params)
             if not self.params:
                 raise InputValidationError("polynomial needs at least one coefficient")
@@ -159,7 +123,12 @@ class TranslationFunction:
                 raise InputValidationError(
                     f"polynomial coefficients must be finite, got {self.params}"
                 )
-            self.validate_on(float(VALIDATION_SAMPLES))
+            if len(self.params) != 2:
+                self.validate_on(float(VALIDATION_SAMPLES))
+            elif not (self.params[0] >= 0 and self.params[1] >= 1):
+                raise InputValidationError(
+                    f"c0 + c1 * t needs c0 >= 0 and c1 >= 1, got {self.params}"
+                )
         elif kind == "tabulated":
             ts, vs = (np.asarray(x, dtype=float) for x in params)
             if ts.ndim != 1 or ts.shape != vs.shape or ts.size < 2:
@@ -175,15 +144,15 @@ class TranslationFunction:
 
     @classmethod
     def identity(cls):
-        return cls("identity")
+        return cls.polynomial((0.0, 1.0))
 
     @classmethod
     def additive(cls, a: float):
-        return cls("additive", float(a))
+        return cls.polynomial((a, 1.0))
 
     @classmethod
     def multiplicative(cls, c: float):
-        return cls("multiplicative", float(c))
+        return cls.polynomial((0.0, c))
 
     @classmethod
     def polynomial(cls, coefficients):
@@ -215,27 +184,22 @@ class TranslationFunction:
             return cls.additive(numbers[0])
         return cls.multiplicative(numbers[0])
 
-    @np.errstate(over="ignore")  # too large for a float: inf, as on the extended half line
+    # Too large for a float: inf, as on the extended half line; 0 * inf is
+    # NaN, which the fix below replaces.
+    @np.errstate(over="ignore", invalid="ignore")
     def __call__(self, t):
         scalar = np.isscalar(t) or (isinstance(t, np.ndarray) and t.ndim == 0)
         a = np.asarray(t, dtype=float)
-        if self.kind == "identity":
-            out = a.copy()
-        elif self.kind == "additive":
-            out = a + self.params
-        elif self.kind == "multiplicative":
-            out = a * self.params
-        elif self.kind == "polynomial":
-            out = np.zeros_like(a)
-            with np.errstate(invalid="ignore"):
-                for c in reversed(self.params):
-                    out = out * a + c
-            out = np.where(np.isinf(a), INF, out)
+        if self.kind == "polynomial":
+            # Horner's rule in place, from the top coefficient down.
+            out = np.full_like(a, self.params[-1])
+            for c in self.params[-2::-1]:
+                out *= a
+                out += c
         else:  # tabulated
             ts, vs = self.params
-            out = np.interp(a, ts, vs)
-            out = np.where(a > ts[-1], vs[-1] + (a - ts[-1]), out)
-            out = np.where(np.isinf(a), INF, out)
+            out = np.where(a > ts[-1], vs[-1] + (a - ts[-1]), np.interp(a, ts, vs))
+        out[np.isinf(a)] = INF
         return float(out) if scalar else out
 
     @np.errstate(invalid="ignore")  # inf - inf is NaN, which no step below -1e-12 matches
@@ -260,12 +224,9 @@ class TranslationFunction:
         """Smallest t with alpha(t) >= x (inf maps to inf)."""
         if np.isinf(x):
             return INF
-        if self.kind == "identity":
-            return float(x)
-        if self.kind == "additive":
-            return max(0.0, x - self.params)
-        if self.kind == "multiplicative":
-            return x / self.params
+        if self.kind == "polynomial" and len(self.params) == 2:
+            c0, c1 = self.params
+            return max(0.0, (x - c0) / c1)
         lo, hi = 0.0, float(x)  # alpha(x) >= x, so the preimage is <= x
         if self(lo) >= x:
             return 0.0
@@ -292,7 +253,7 @@ class ParentFunction:
     parent: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.parent, dtype=int)
+        p = np.array(self.parent, dtype=int)
         if p.ndim != 1 or p.size == 0:
             raise InputValidationError("parent map must be a nonempty 1-d index array")
         if ((p < 0) | (p >= p.size)).any():
@@ -301,20 +262,16 @@ class ParentFunction:
         if roots.size != 1:
             raise InputValidationError(f"expected exactly one root, found {roots.size}")
         root = int(roots[0])
-        # Walk each node to the root; a revisit before reaching it is a cycle.
-        depth = np.full(p.size, -1, dtype=int)
-        depth[root] = 0
-        for l in range(p.size):
-            path = []
-            cur = l
-            while depth[cur] < 0:
-                path.append(cur)
-                cur = int(p[cur])
-                if len(path) > p.size:
-                    raise InputValidationError(f"cycle through index {l}")
-            for k, node in enumerate(reversed(path), start=depth[cur] + 1):
-                depth[node] = k
-        p = p.copy()
+        # Pointer jumping: up[l] is the ancestor depth[l] steps above l, a
+        # distance that doubles each round until up[l] is the root.  After
+        # n.bit_length() rounds (2^rounds > n steps) a node whose up is not
+        # the root lies on or below a cycle.
+        up, depth = p, (p != np.arange(p.size)).astype(int)
+        for _ in range(p.size.bit_length()):
+            up, depth = up[up], depth + depth[up]
+        bad = np.flatnonzero(up != root)
+        if bad.size:
+            raise InputValidationError(f"cycle through index {bad[0]}")
         p.setflags(write=False)
         object.__setattr__(self, "parent", p)
         object.__setattr__(self, "_root", root)
@@ -362,9 +319,3 @@ class RestrictionTimes:
         r = r.copy()
         r.setflags(write=False)
         object.__setattr__(self, "times", r)
-
-    def __getitem__(self, l):
-        return float(self.times[l])
-
-    def __len__(self):
-        return self.times.size

@@ -207,7 +207,8 @@ class Skeleton:
 
     ``cells[k - 1]`` is an (m, k) int64 array of the k-vertex simplices,
     each a strictly increasing vertex row, rows in lexicographic order and
-    without repeats; ``len`` counts simplices.
+    without repeats; ``len`` counts simplices.  The cells stop at the
+    largest cardinality that has simplices, or at the vertices.
     """
 
     cells: tuple
@@ -518,7 +519,7 @@ def filtration_values(lam, cells) -> np.ndarray:
 
 def skeleton_size(n: int, d: int) -> int:
     """Number of simplices in the full (d+1)-skeleton on n vertices."""
-    return sum(math.comb(n, k) for k in range(1, d + 3))
+    return sum(math.comb(n, k) for k in range(1, min(n, d + 2) + 1))
 
 
 def expand_skeleton(faces: Faces, d: int, max_simplices=None) -> Skeleton:
@@ -531,13 +532,13 @@ def expand_skeleton(faces: Faces, d: int, max_simplices=None) -> Skeleton:
     an upper neighbour of that last vertex, is adjacent to sigma's other
     vertices, and the AND of ``_incidence`` over sigma and c is non-zero.
     Extending the rows in order, each by its candidates in increasing
-    order, emits every cardinality in lexicographic order.  Raises
-    ``SizeLimitError`` up front if the vertices or the largest face's
-    subsets exceed ``max_simplices``, else once a chunk takes the count past it.
+    order, emits every cardinality in lexicographic order, up to
+    min(d + 2, the largest face's size).  Raises ``SizeLimitError`` up
+    front if the vertices or the largest face's subsets exceed
+    ``max_simplices``, else once a chunk takes the count past it.
     """
-    cells = [np.empty((0, k), np.int64) for k in range(1, d + 3)]
     if not faces.rows:
-        return Skeleton(tuple(cells))
+        return Skeleton((np.empty((0, 1), np.int64),))
     flat = np.concatenate([b.ravel() for b in faces.rows])
     labels, vertex = np.unique(flat, return_inverse=True)
     u, sizes = len(labels), [b.shape[1] for b in faces.rows]
@@ -566,7 +567,7 @@ def expand_skeleton(faces: Faces, d: int, max_simplices=None) -> Skeleton:
     first = np.searchsorted(a, np.arange(u + 1))
 
     total, sigma = u, np.arange(u).reshape(-1, 1)
-    cells[0] = labels.reshape(-1, 1)
+    cells = [labels.reshape(-1, 1)]
     # A chunk's rows and candidates take about _CHUNK_CELLS words of bitsets.
     step = max(1, _CHUNK_CELLS // incidence.shape[1])
     # A face of the largest size has subsets of every smaller size.
@@ -594,7 +595,7 @@ def expand_skeleton(faces: Faces, d: int, max_simplices=None) -> Skeleton:
             if max_simplices is not None and total > max_simplices:
                 raise SizeLimitError(total, max_simplices)
         sigma = np.concatenate(parts)
-        cells[k - 1] = labels[sigma]
+        cells.append(labels[sigma])
     return Skeleton(tuple(cells))
 
 

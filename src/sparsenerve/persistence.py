@@ -63,7 +63,9 @@ def _reduce_cohomology(facets, dims, max_dim):
     ``_reduce_twist``.
     """
     dims = np.asarray(dims)
-    by_dim = [np.flatnonzero(dims == k) for k in range(max_dim + 2)]
+    # No k-simplex above the top dimension: nothing to reduce there.
+    top = min(max_dim, int(dims.max(initial=0)))
+    by_dim = [np.flatnonzero(dims == k) for k in range(top + 2)]
 
     def facets_of(k):
         if k < len(facets):
@@ -91,7 +93,7 @@ def _reduce_cohomology(facets, dims, max_dim):
     essential = [v for v in by_dim[0].tolist() if parent[v] == v]
 
     n = max(len(dims), 1)
-    for k in range(1, max_dim + 1):
+    for k in range(1, top + 1):
         # One sort of facet * n + coface orders the (facet, coface) pairs
         # by facet, then coface, so each coboundary is a sorted slice.
         up = facets_of(k + 1)

@@ -6,7 +6,7 @@ from sparsenerve.model import TranslationFunction
 
 ENTRY_POOL = np.array([0.0, 1.0, 2.0, 3.0, np.inf])
 
-# One translation function of each kind.
+# The closed forms t, t + 1 and 2t, a cubic polynomial and a table.
 EVERY_ALPHA_KIND = [
     TranslationFunction.identity(),
     TranslationFunction.additive(1.0),

@@ -9,7 +9,6 @@ from sparsenerve.model import (
     RestrictionTimes,
     TranslationFunction,
     as_extended_matrix,
-    validate_dissimilarity,
 )
 
 
@@ -45,6 +44,20 @@ class TestDowkerDissimilarity:
         with pytest.raises(InputValidationError):
             DowkerDissimilarity([[1.0, 1.0], [1.0, 0.0]], metric=True)
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0]], r"square, got shape \(2, 3\)"),
+            ([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 5.0]], r"diagonal entry 5.0 at \(2, 2\)"),
+            ([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, INF, 0.0]], r"\(1, 2\), inf at \(2, 1\)"),
+            ([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [4.0, 3.0, 0.0]], r"2.0 at \(0, 2\), 4.0 at"),
+        ],
+    )
+    def test_metric_names_the_first_offending_entry(self, values, message):
+        with pytest.raises(InputValidationError, match=message):
+            DowkerDissimilarity(values, metric=True)
+        assert DowkerDissimilarity(values).values.shape == np.shape(values)
+
     def test_rectangular_allowed_without_metric(self):
         dd = DowkerDissimilarity([[0.0, 1.0, 2.0]])
         assert dd.values.shape == (1, 3)
@@ -52,10 +65,6 @@ class TestDowkerDissimilarity:
     def test_max_finite(self):
         dd = DowkerDissimilarity([[0.0, 5.0, INF]])
         assert dd.max_finite == 5.0
-
-    def test_validation_report(self):
-        report = validate_dissimilarity([[0.0, 1.0], [1.0, 0.0]])
-        assert report.ok
 
 
 class TestTranslationFunction:
@@ -99,7 +108,7 @@ class TestTranslationFunction:
         assert a(INF) == INF
 
     def test_parse_round_trip(self):
-        assert TranslationFunction.parse("id").kind == "identity"
+        assert TranslationFunction.parse("id")(2.5) == 2.5
         assert TranslationFunction.parse("add:1.5")(1.0) == 2.5
         assert TranslationFunction.parse("mult:2")(4.0) == 8.0
 
@@ -146,6 +155,130 @@ class TestTranslationFunction:
 
     def test_preimage_infinity(self):
         assert TranslationFunction.identity().preimage(INF) == INF
+
+
+def old_closed_form(kind, param, t):
+    """alpha(t) as the identity, additive and multiplicative kinds computed it."""
+    a = np.asarray(t, dtype=float)
+    if kind == "identity":
+        return a.copy()
+    with np.errstate(over="ignore"):
+        return a + param if kind == "additive" else a * param
+
+
+def old_closed_preimage(kind, param, x):
+    """``preimage`` as the identity, additive and multiplicative kinds computed it."""
+    if np.isinf(x):
+        return INF
+    if kind == "identity":
+        return float(x)
+    return max(0.0, x - param) if kind == "additive" else x / param
+
+
+CLOSED_FORMS = [("identity", None)]
+CLOSED_FORMS += [("additive", a) for a in (0.0, 5e-324, 1e-300, 0.5, 1.0, 1e300)]
+CLOSED_FORMS += [("multiplicative", c) for c in (1.0, 1.0 + 2**-52, 1.5, 3.0, 1e300)]
+EXTREMES = np.array(
+    [0.0, 5e-324, 1e-308, 1e-300, 2**-30, 0.1, 0.5, 1.0, 2.0, 1e10, 1e300, 1.7e308, INF]
+)
+
+
+class TestClosedFormOracle:
+    """The closed forms t, t + a and c * t, now polynomials, keep their values."""
+
+    @pytest.mark.parametrize("kind, param", CLOSED_FORMS)
+    def test_values_match(self, kind, param):
+        make = getattr(TranslationFunction, kind)
+        alpha = make() if param is None else make(param)
+        assert alpha.kind == "polynomial" and len(alpha.params) == 2
+        np.testing.assert_array_equal(alpha(EXTREMES), old_closed_form(kind, param, EXTREMES))
+        grid = np.random.default_rng(7).exponential(size=(40, 30)) ** 8
+        np.testing.assert_array_equal(alpha(grid), old_closed_form(kind, param, grid))
+        for x in EXTREMES.tolist():
+            assert alpha(x) == float(old_closed_form(kind, param, x))
+            assert alpha.preimage(x) == old_closed_preimage(kind, param, x)
+
+    def test_params_of_the_closed_forms(self):
+        assert TranslationFunction.parse("id").params == (0.0, 1.0)
+        assert TranslationFunction.parse("add:1.5").params == (1.5, 1.0)
+        assert TranslationFunction.parse("mult:2").params == (0.0, 2.0)
+
+    @pytest.mark.parametrize("coefficients", [(-1e-300, 1.0), (0.0, 1.0 - 2**-53), (2.0, 0.5)])
+    def test_degree_one_checked_exactly(self, coefficients):
+        with pytest.raises(InputValidationError, match="c0 >= 0 and c1 >= 1"):
+            TranslationFunction.polynomial(coefficients)
+
+
+def old_parent_depths(parent):
+    """The per-node walk ``ParentFunction`` ran before pointer jumping: the
+    checks, then each node's depth, raising at the first node on or below a cycle."""
+    p = np.asarray(parent, dtype=int)
+    if p.ndim != 1 or p.size == 0:
+        raise InputValidationError("parent map must be a nonempty 1-d index array")
+    if ((p < 0) | (p >= p.size)).any():
+        raise InputValidationError("parent index out of range")
+    roots = np.nonzero(p == np.arange(p.size))[0]
+    if roots.size != 1:
+        raise InputValidationError(f"expected exactly one root, found {roots.size}")
+    depth = np.full(p.size, -1, dtype=int)
+    depth[roots[0]] = 0
+    for l in range(p.size):
+        path = []
+        cur = l
+        while depth[cur] < 0:
+            path.append(cur)
+            cur = int(p[cur])
+            if len(path) > p.size:
+                raise InputValidationError(f"cycle through index {l}")
+        for k, node in enumerate(reversed(path), start=depth[cur] + 1):
+            depth[node] = k
+    return depth
+
+
+def random_parent_arrays(rng):
+    """Valid trees, long paths, a single node, two roots and cycles."""
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        perm = rng.permutation(n)
+        tree = np.empty(n, dtype=int)
+        tree[perm] = perm[[0] + [int(rng.integers(0, i)) for i in range(1, n)]]
+        yield tree
+        path = np.empty(n, dtype=int)
+        path[perm] = perm[np.maximum(np.arange(n) - 1, 0)]
+        yield path
+        if n > 1:
+            two = tree.copy()
+            two[perm[int(rng.integers(1, n))]] = perm[int(rng.integers(1, n))]
+            yield two  # a cycle, or a second root
+            loose = rng.integers(0, n, n)
+            loose[perm[0]] = perm[0]
+            yield loose  # a random map with one root, often cyclic
+    yield np.array([0])
+    yield np.roll(np.arange(500), 1)  # one cycle through every node, no root
+    deep = np.arange(-1, 1999)
+    deep[0] = 0
+    yield deep  # a path 1,999 steps deep
+    deep = np.append(np.arange(1, 2001), 2000)
+    deep[1999] = 1998
+    yield deep  # the same path below the cycle 1998 <-> 1999, beside the root 2000
+
+
+class TestParentOracle:
+    def test_matches_the_per_node_walk(self, rng):
+        outcomes = set()
+        for parent in random_parent_arrays(rng):
+            try:
+                depth = old_parent_depths(parent)
+            except InputValidationError as exc:
+                with pytest.raises(InputValidationError) as new:
+                    ParentFunction(parent=parent)
+                assert str(new.value) == str(exc)
+                outcomes.add(str(exc).split(" index ")[0].split(" found ")[0])
+                continue
+            phi = ParentFunction(parent=parent)
+            np.testing.assert_array_equal(phi.leaves_first(), np.argsort(-depth, kind="stable"))
+            outcomes.add("tree")
+        assert outcomes == {"tree", "expected exactly one root,", "cycle through"}
 
 
 class TestParentFunction:

@@ -34,7 +34,7 @@ from sparsenerve.nerve import (
 )
 from sparsenerve.persistence import compute_persistence, diagram_interleaving_check
 
-from conftest import EVERY_ALPHA_KIND, facet_lists, random_dissimilarity
+from conftest import facet_lists, random_dissimilarity
 
 LINE3 = np.array([[0.0, 1, 3], [1, 0, 2], [3, 2, 0]])
 
@@ -645,6 +645,21 @@ class TestSparseNervePipeline:
         assert points_high == points
         assert calls_high == calls == 1 + 3 + 4 + 5
 
+    def test_persistence_stops_at_the_top_dimension(self):
+        # Past the tetrahedron, d adds no dimension to scan: the complex's
+        # cells stop at dimension 3, and the complex, its facet check and
+        # the reduction find the simplices of each dimension as often at
+        # d = 4000 as at d = 3.
+        dd = distance_matrix(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+        runs = []
+        for d in (3, 4000):
+            with mock.patch.object(np, "flatnonzero", wraps=np.flatnonzero) as scans:
+                K = sparse_dowker_nerve(dd, TranslationFunction.identity(), d).complex
+                points = compute_persistence(K, d).points
+            runs.append((len(K.cells), scans.call_count, points))
+        assert runs[0][0] == 4
+        assert runs[1] == runs[0]
+
 
 class TestAmbientCech:
     def test_single_point(self):
@@ -767,7 +782,9 @@ def tied_dowker_matrices(draw):
 
 
 NON_MULTIPLICATIVE = [
-    a for a in EVERY_ALPHA_KIND if a.kind not in ("identity", "multiplicative")
+    TranslationFunction.additive(1.0),
+    TranslationFunction.polynomial([0.3, 1.0, 0.0, 0.5]),
+    TranslationFunction.tabulated([0.0, 1.0, 3.0], [0.5, 2.0, 3.5]),
 ]
 
 
