@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .miniball import _sum_axes
 from .model import INF, DowkerDissimilarity, InputValidationError
 
 _MAX_SPREAD = 2.0**500
@@ -160,8 +161,12 @@ def write_diagram(path, diagram):
 def distance_matrix(cloud: PointCloud) -> DowkerDissimilarity:
     """Euclidean distance matrix of a point cloud (square, symmetric)."""
     X = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, float)
-    diff = X[:, None, :] - X[None, :, :]
-    dm = np.sqrt(np.sum(diff * diff, axis=-1))
+    # Coordinate-major (D, n, n) differences, summed over D in the order
+    # numpy sums a trailing axis, so the distances are those of the
+    # (n, n, D) layout bit for bit.
+    diff = X.T[:, :, None] - X.T[:, None, :]
+    diff *= diff
+    dm = np.sqrt(_sum_axes(diff))
     dm = 0.5 * (dm + dm.T)
     np.fill_diagonal(dm, 0.0)
     return DowkerDissimilarity(dm, metric=True)

@@ -284,14 +284,6 @@ class ParentFunction:
     def __len__(self):
         return self.parent.size
 
-    def children(self) -> list:
-        """Child lists per node, excluding the root's self-loop."""
-        out = [[] for _ in range(len(self))]
-        for l, p in enumerate(self.parent):
-            if l != p:
-                out[p].append(l)
-        return out
-
     def leaves_first(self) -> np.ndarray:
         """Node order with every child before its parent."""
         return np.argsort(-self._depth, kind="stable")

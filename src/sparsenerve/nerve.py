@@ -11,9 +11,11 @@ Lambda, v(sigma) = min over w of max over l in sigma of Lambda(l, w), or
 smallest-enclosing-ball radii of the points on doubled restriction times.
 
 Simplices are stored as integer arrays, one per cardinality k: an (m, k)
-array of strictly increasing vertex rows, looked up by its lexicographic
-rank in the combinatorial number system, as in Bauer's Ripser (J. Appl.
-Comput. Topol. 5, 2021).  Facets are found once, on the skeleton's order.
+array of strictly increasing vertex rows in lexicographic order.  A row is
+its prefix, the row without its last vertex, plus that vertex, and is
+looked up by the key row(prefix) * u + position(last vertex) over the u
+vertices, one int64 that rises with the rows.  Facets are found once, on
+the skeleton's order.
 """
 
 from __future__ import annotations
@@ -50,45 +52,6 @@ _CHUNK_CELLS = 1 << 16
 # (torus_fine gathers 225 per landmark, its mult:3 cloud 9).
 _RANK_GATHERS = 100
 
-def _wide(n: int, k: int) -> bool:
-    """Can lexicographic keys of k-subsets of range(n), or their terms, reach 2**63?"""
-    return math.comb(n, min(k, n // 2)) >= 1 << 63
-
-
-def _binomials(n: int, k: int) -> np.ndarray:
-    """(k + 1, n) int64 table of C(v, i) for i <= k and v < n, exact in each row
-    i that is not ``_wide(n, i)`` (the rows above may overflow)."""
-    table = np.zeros((k + 1, n), np.int64)
-    table[0] = 1
-    for i in range(1, k + 1):
-        # C(v, i) = sum over u < v of C(u, i - 1).
-        np.cumsum(table[i - 1, :-1], out=table[i, 1:])
-    return table
-
-
-def _lex_keys(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Keys of (m, k) strictly increasing rows over range(n), in their lexicographic order.
-
-    -sum_j C(n - 1 - v_j, k - j), the rank less C(n, k) - 1, as int64 unless
-    ``_wide``; then each row as k big-endian int64 in one void scalar.
-    ``table`` is ``_binomials(n, K)`` for some K >= k.
-    """
-    n, k = table.shape[1], rows.shape[1]
-    if _wide(n, k):
-        rows = np.ascontiguousarray(rows, dtype=">i8")
-        return rows.view(np.dtype((np.void, 8 * k))).reshape(-1)
-    up = n - 1 - rows
-    keys = -table[k][up[:, 0]]
-    for j in range(1, k):
-        keys -= table[k - j][up[:, j]]
-    return keys
-
-
-def _vertex_bound(cells) -> int:
-    """One more than the largest vertex in any of the arrays (0 if none)."""
-    return 1 + max((int(c.max()) for c in cells if c.size), default=-1)
-
-
 def _combinations(m: int, k: int) -> np.ndarray:
     """(C(m, k), k) table of the k-subsets of range(m), in lexicographic order."""
     table = np.arange(m).reshape(-1, 1)
@@ -109,39 +72,67 @@ def _lex_steps(rows: np.ndarray) -> np.ndarray:
     return step[np.arange(len(step)), first]
 
 
-def _facet_table(cells, rank=None) -> tuple:
+def _find(keys: np.ndarray, query: np.ndarray):
+    """Row of each query among the sorted ``keys``, and whether it is there."""
+    at = np.searchsorted(keys, query)
+    if not len(keys):  # take() clips the positions past the end
+        return at, np.zeros(at.shape, bool)
+    return at, keys.take(at, mode="clip") == query
+
+
+def _facet_table(cells, rank=None, positions=None) -> tuple:
     """Facets of simplices in ``Skeleton`` order, as rows one cardinality down.
 
     Entry (r, j) of ``table[k - 1]`` is the row in ``cells[k - 2]`` of the
     facet of ``cells[k - 1][r]`` without vertex k - 1 - j
-    (``itertools.combinations`` order), found by a binary search of its key
-    among the sorted ``_lex_keys`` there.  Raises ``InputValidationError``,
-    naming the faulty row of least ``rank`` if given, where a row is not
-    increasing and non-negative, repeats, is out of order or misses a facet.
+    (``itertools.combinations`` order).  A k-row's key is
+    row(prefix) * u + position(last vertex): the prefix, the row without
+    its last vertex, is a row one cardinality down, and ``positions`` (as
+    ``Skeleton`` holds them; by default found among the u vertices of
+    ``cells[0]``) index the vertices.  Keys rise exactly where rows do.
+    The facet without vertex i < k - 1 has the prefix's facet without i as
+    its prefix, so it is one binary search (``_find``) one cardinality
+    down.  Raises ``InputValidationError``, naming the faulty row of least
+    ``rank`` if given, where a row is not increasing and non-negative,
+    repeats, is out of order or misses a facet.
     """
 
     def first(k, bad):
         return bad[0] if rank is None else bad[np.argmin(rank[k - 1][bad])]
 
-    binomials = _binomials(_vertex_bound(cells), len(cells))
-    table, lower = [np.empty((len(c), 0), np.intp) for c in cells[:1]], None
+    u = len(cells[0]) if cells else 0
+    # keys[k - 1] are those of cells[k - 1]; a vertex's key is its row.
+    table, keys = [np.empty((u, 0), np.intp)][: len(cells)], [None]
     for k, rows in enumerate(cells, 1):
-        if not len(rows):
-            # Nothing to key or look up; rows above, if any, miss a face.
-            if k > 1:
-                table.append(np.empty((0, k), np.intp))
-            lower = np.empty(0, np.int64)
-            continue
-        rising = rows[:, 1:] > rows[:, :-1]
-        if (rows[:, 0] < 0).any() or not rising.all():
-            bad = np.flatnonzero((rows[:, 0] < 0) | ~rising.all(axis=1))
+        # Column by column: numpy is slow along a short last axis.
+        ok = rows[:, 0] >= 0
+        for j in range(1, k):
+            ok &= rows[:, j] > rows[:, j - 1]
+        if not ok.all():
             raise InputValidationError(
-                f"vertices of {tuple(rows[first(k, bad)].tolist())} are not increasing"
-                " non-negative integers"
+                f"vertices of {tuple(rows[first(k, np.flatnonzero(~ok))].tolist())} are not"
+                " increasing non-negative integers"
             )
-        keys = _lex_keys(rows, binomials)
-        # Void keys have no order to compare; their rows do.
-        step = _lex_steps(rows) if keys.dtype.kind == "V" else np.diff(keys)
+        if k > 1:
+            if len(cells[k - 2]) * u >= 1 << 63:
+                raise InputValidationError(
+                    f"{len(cells[k - 2])} simplices on {u} vertices overflow int64 keys"
+                )
+            if positions is None:
+                pos, known = _find(cells[0][:, 0], rows.T)
+            else:
+                pos, known = positions[k - 1].T, np.ones((k, len(rows)), bool)
+            # The prefix's row, through its own prefix one cardinality down;
+            # the queries rise with the rows.
+            prefix, there = pos[0], known[:-1].all(axis=0)
+            for j in range(1, k - 1):
+                prefix, found = _find(keys[j], prefix * u + pos[j])
+                there &= found
+        if k > 1 and there.all() and known[-1].all():
+            keys.append(prefix * u + pos[-1])
+            step = np.diff(keys[-1])
+        else:  # vertices, or rows that miss a facet, reported below
+            step = _lex_steps(rows)
         bad = np.flatnonzero(step <= 0)
         if bad.size:
             r = first(k, bad)
@@ -149,23 +140,25 @@ def _facet_table(cells, rank=None) -> tuple:
             if step[r] == 0:
                 raise InputValidationError(f"duplicate simplex {a}")
             raise InputValidationError(f"simplices not in lexicographic order at {a} -> {b}")
-        if k > 1:
-            out = np.empty(rows.shape, np.intp)
-            for j in range(k):
-                face = rows[:, [c for c in range(k) if c != k - 1 - j]]
-                query = _lex_keys(face, binomials)
-                at = np.searchsorted(lower, query)
-                found = np.zeros(len(at), bool)
-                if len(lower):  # take() clips the positions past the end
-                    found = lower.take(at, mode="clip") == query
-                if not found.all():
-                    r = first(k, np.flatnonzero(~found))
-                    raise InputValidationError(
-                        f"missing face {tuple(face[r].tolist())} of {tuple(rows[r].tolist())}"
-                    )
-                out[:, j] = at
-            table.append(out)
-        lower = keys
+        if k == 1:
+            continue
+        out = np.empty(rows.shape, np.intp)
+        for j in range(k):
+            if j == 0:
+                at, found = prefix, there
+            elif k == 2:  # the facet without the first vertex is the last
+                at, found = pos[1], known[1]
+            else:
+                # The prefix's facet without vertex k - 1 - j, then the last vertex.
+                query = table[k - 2][:, j - 1].take(prefix) * u + pos[-1]
+                at, found = _find(keys[k - 2], query)
+                found &= known[-1]
+            if not found.all():
+                r = first(k, np.flatnonzero(~found))
+                face = tuple(np.delete(rows[r], k - 1 - j).tolist())
+                raise InputValidationError(f"missing face {face} of {tuple(rows[r].tolist())}")
+            out[:, j] = at
+        table.append(out)
     return tuple(table)
 
 
@@ -209,9 +202,12 @@ class Skeleton:
     each a strictly increasing vertex row, rows in lexicographic order and
     without repeats; ``len`` counts simplices.  The cells stop at the
     largest cardinality that has simplices, or at the vertices.
+    ``positions`` is shaped like ``cells`` and holds each vertex's position
+    among the vertices ``cells[0]``.
     """
 
     cells: tuple
+    positions: tuple
 
     def __len__(self):
         return sum(map(len, self.cells))
@@ -538,7 +534,7 @@ def expand_skeleton(faces: Faces, d: int, max_simplices=None) -> Skeleton:
     ``max_simplices``, else once a chunk takes the count past it.
     """
     if not faces.rows:
-        return Skeleton((np.empty((0, 1), np.int64),))
+        return Skeleton((np.empty((0, 1), np.int64),), (np.empty((0, 1), np.intp),))
     flat = np.concatenate([b.ravel() for b in faces.rows])
     labels, vertex = np.unique(flat, return_inverse=True)
     u, sizes = len(labels), [b.shape[1] for b in faces.rows]
@@ -567,7 +563,7 @@ def expand_skeleton(faces: Faces, d: int, max_simplices=None) -> Skeleton:
     first = np.searchsorted(a, np.arange(u + 1))
 
     total, sigma = u, np.arange(u).reshape(-1, 1)
-    cells = [labels.reshape(-1, 1)]
+    cells, positions = [labels.reshape(-1, 1)], [sigma]
     # A chunk's rows and candidates take about _CHUNK_CELLS words of bitsets.
     step = max(1, _CHUNK_CELLS // incidence.shape[1])
     # A face of the largest size has subsets of every smaller size.
@@ -596,7 +592,8 @@ def expand_skeleton(faces: Faces, d: int, max_simplices=None) -> Skeleton:
                 raise SizeLimitError(total, max_simplices)
         sigma = np.concatenate(parts)
         cells.append(labels[sigma])
-    return Skeleton(tuple(cells))
+        positions.append(sigma)
+    return Skeleton(tuple(cells), tuple(positions))
 
 
 def full_dowker_nerve(lam, d: int, max_simplices=None) -> FilteredComplex:
@@ -648,8 +645,9 @@ def _sparse_nerve(dd, alpha, d, initial_point, max_simplices, points=None):
         # so doubling them cannot overflow.
         R = RestrictionTimes(times=2.0 * R.times, tree=R.tree)
     faces = maximal_faces(tr.gamma, R, slope_points(tr.tree, R))
-    cells = expand_skeleton(faces, d, max_simplices).cells
-    facets = _facet_table(cells)
+    skeleton = expand_skeleton(faces, d, max_simplices)
+    cells = skeleton.cells
+    facets = _facet_table(cells, positions=skeleton.positions)
     if points is None:
         values = filtration_values(dd, cells)
     else:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -40,6 +39,9 @@ def _boundary_columns(K: FilteredComplex):
 
 def _reduce_cohomology(facets, dims, max_dim):
     """Persistence pairs with births in dimensions 0..max_dim, via cohomology.
+
+    Returns the pairs as an (m, 2) array of (birth, death) indices sorted
+    by birth, and the essential births as a sorted array.
 
     ``facets`` and ``dims`` are as ``_boundary_columns`` returns them.
     Dimension 0 is union-find over the edges in filtration order: an edge
@@ -80,17 +82,17 @@ def _reduce_cohomology(facets, dims, max_dim):
             x = parent[x]
         return x
 
-    pairs = []
-    deaths = set()
+    birth, death = [], []
     for e, (a, b) in zip(by_dim[1].tolist(), facets_of(1).tolist()):
         u, v = find(a), find(b)
         if u != v:
             if u > v:
                 u, v = v, u
             parent[v] = u
-            pairs.append((v, e))
-            deaths.add(e)
+            birth.append(v)
+            death.append(e)
     essential = [v for v in by_dim[0].tolist() if parent[v] == v]
+    deaths = set(death)
 
     n = max(len(dims), 1)
     for k in range(1, top + 1):
@@ -115,7 +117,8 @@ def _reduce_cohomology(facets, dims, max_dim):
                 continue
             if low not in pivots:
                 pivots[low] = cofaces[a:b]
-                pairs.append((i, low))
+                birth.append(i)
+                death.append(low)
                 continue
             col = cofaces[a:b]
             work[col] = True
@@ -134,9 +137,12 @@ def _reduce_cohomology(facets, dims, max_dim):
             col = low + np.flatnonzero(work[low:hi])
             work[col] = False
             pivots[low] = col
-            pairs.append((i, low))
+            birth.append(i)
+            death.append(low)
         deaths = pivots
-    return sorted(pairs), sorted(essential)
+    birth, death = np.array(birth, np.intp), np.array(death, np.intp)
+    order = np.argsort(birth)
+    return np.column_stack((birth[order], death[order])), np.sort(np.array(essential, np.intp))
 
 
 def _reduce_twist(cols, dims):
@@ -191,8 +197,7 @@ def compute_persistence(K: FilteredComplex, max_dim: int) -> PersistenceDiagram:
         raise InputValidationError(f"max_dim must be >= 0, got {max_dim}")
     facets, dims = _boundary_columns(K)
     pairs, essential = _reduce_cohomology(facets, dims, max_dim)
-    pairs = np.fromiter(chain.from_iterable(pairs), np.intp, 2 * len(pairs)).reshape(-1, 2)
-    born = np.concatenate([pairs[:, 0], np.array(essential, dtype=np.intp)])
+    born = np.concatenate([pairs[:, 0], essential])
     births = K.values[born]
     deaths = np.concatenate([K.values[pairs[:, 1]], np.full(len(essential), INF)])
     kept = births != deaths

@@ -161,6 +161,18 @@ class TestDistanceMatrix:
                 for k in range(n):
                     assert dm[i, j] <= dm[i, k] + dm[k, j] + 1e-9
 
+    @pytest.mark.parametrize("D", [1, 2, 7, 8, 9, 64, 127, 128, 129, 300])
+    @pytest.mark.parametrize("n", [1, 7, 60])
+    def test_matches_a_trailing_axis_sum(self, D, n):
+        # The (n, n, D) sum of squares it replaces, bit for bit: on squares of
+        # like size, another order of the sum rounds differently.
+        X = np.random.default_rng(D * n).normal(size=(n, D))
+        diff = X[:, None, :] - X[None, :, :]
+        dm = np.sqrt(np.sum(diff * diff, axis=-1))
+        dm = 0.5 * (dm + dm.T)
+        np.fill_diagonal(dm, 0.0)
+        assert distance_matrix(X).values.tobytes() == dm.tobytes()
+
 
 class TestGraphMatrices:
     def test_shortest_path_cycle(self):

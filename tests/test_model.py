@@ -286,10 +286,6 @@ class TestParentFunction:
         phi = ParentFunction(parent=[0, 0, 1])
         assert phi.root == 0
 
-    def test_children(self):
-        phi = ParentFunction(parent=[0, 0, 0])
-        assert sorted(phi.children()[0]) == [1, 2]
-
     def test_leaves_first_order(self):
         phi = ParentFunction(parent=[0, 0, 1])
         order = phi.leaves_first()

@@ -77,7 +77,7 @@ class TestSlopePoints:
                     times.append(up * float(rng.integers(0, 3)) / 2)
             phi = ParentFunction(parent=parent)
             R = RestrictionTimes(times=np.array(times), tree=phi)
-            children = phi.children()
+            children = [[c for c in range(1, n) if parent[c] == l] for l in range(n)]
             expected = {
                 l for l in range(n)
                 if np.isfinite(times[l]) and max((times[c] for c in children[l]), default=0.0) < times[l]
@@ -404,9 +404,9 @@ def _assert_carried_table_is_derived(K):
 
 @st.composite
 def face_families(draw):
-    """Overlapping faces on a few vertex labels, at times shifted up near 10**5."""
+    """Overlapping faces on a few vertex labels, at times shifted up near 10**5 or 2**40."""
     n = draw(st.integers(1, 9))
-    offset = draw(st.sampled_from([0, 99_990]))
+    offset = draw(st.sampled_from([0, 99_990, 2**40]))
     face = st.sets(st.integers(0, n - 1), min_size=1, max_size=6)
     faces = draw(st.lists(face, min_size=1, max_size=8))
     return [frozenset(offset + v for v in f) for f in faces]
@@ -438,15 +438,30 @@ class TestArrayComplexOracle:
             assert len(expand_skeleton(_faces(faces), d, max_simplices=b)) == size
 
     def test_wide_keys_at_large_labels(self):
-        # Lexicographic keys of 5- and 6-subsets of 10**5 labels overflow
-        # int64, so those cardinalities use byte keys and the lower ones
-        # integer keys.
-        assert nerve._wide(100_000, 5) and not nerve._wide(100_000, 4)
+        # Lexicographic ranks of 5- and 6-subsets of 10**5 labels overflow
+        # int64; keys by prefix row and last vertex do not grow with the labels.
         rng = np.random.default_rng(5)
         labels = np.arange(99_980, 100_000)
         sizes = rng.integers(3, 9, size=10).tolist()
         faces = [frozenset(rng.choice(labels, size=m, replace=False).tolist()) for m in sizes]
         _check_against_oracle(faces, 4, 0)
+
+
+def _combinations_facets(cells):
+    """Oracle: each row's facets, in combinations order, by dict lookup one cardinality down."""
+    table = [np.empty((len(cells[0]), 0), np.intp)]
+    for k in range(1, len(cells)):
+        position = {tuple(row): r for r, row in enumerate(cells[k - 1].tolist())}
+        rows = [[position[f] for f in combinations(row, k)] for row in cells[k].tolist()]
+        table.append(np.array(rows, np.intp).reshape(-1, k + 1))
+    return table
+
+
+def _tables_equal(a, b):
+    return len(a) == len(b) and all(
+        x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        for x, y in zip(a, b)
+    )
 
 
 class TestFacetTable:
@@ -461,17 +476,24 @@ class TestFacetTable:
         _assert_carried_table_is_derived(ambient_cech_nerve(X, TranslationFunction.identity(), 2))
 
     def test_wide_rows_match_combinations(self):
+        # Labels whose 5-subsets have lexicographic ranks past 2**63.
         labels = [0, 7, 99_990, 99_993, 99_995, 99_998, 99_999]
         cells = [np.array(list(combinations(labels, k))) for k in range(1, 7)]
-        assert nerve._wide(labels[-1] + 1, 5)
-        table = nerve._facet_table(cells)
-        for k in range(1, len(cells)):
-            position = {tuple(row): r for r, row in enumerate(cells[k - 1].tolist())}
-            expected = [
-                [position[f] for f in combinations(row, len(row) - 1)]
-                for row in cells[k].tolist()
-            ]
-            assert table[k].tolist() == expected
+        assert _tables_equal(nerve._facet_table(cells), _combinations_facets(cells))
+
+    @settings(max_examples=200, deadline=None)
+    @given(faces=face_families(), d=st.integers(0, 4))
+    def test_handed_and_derived_positions_match_combinations(self, faces, d):
+        skeleton = expand_skeleton(_faces(faces), d)
+        handed = nerve._facet_table(skeleton.cells, positions=skeleton.positions)
+        assert _tables_equal(handed, _combinations_facets(skeleton.cells))
+        assert _tables_equal(nerve._facet_table(skeleton.cells), handed)
+
+    def test_labels_near_2_to_the_62(self):
+        # Keys do not grow with the labels: no table or key is sized by them.
+        K = make_filtered_complex({(0,): 0.0, (2**62,): 0.0, (0, 2**62): 1.0}, dim_cap=1)
+        assert K._facets is not None
+        assert compute_persistence(K, 1).points == ((0, 0.0, 1.0), (0, 0.0, INF))
 
     @pytest.mark.parametrize(
         "cells, message",
@@ -488,8 +510,15 @@ class TestFacetTable:
         ],
     )
     def test_rejects(self, cells, message):
+        cells = [np.array(c, dtype=np.int64).reshape(-1, p + 1) for p, c in enumerate(cells)]
         with pytest.raises(InputValidationError, match=message):
-            nerve._facet_table([np.array(c, dtype=np.int64).reshape(-1, p + 1) for p, c in enumerate(cells)])
+            nerve._facet_table(cells)
+        # Handed positions, where every vertex has one, pass the same checks.
+        vertices = cells[0][:, 0]
+        if all(np.isin(c, vertices).all() for c in cells):
+            positions = [np.searchsorted(vertices, c) for c in cells]
+            with pytest.raises(InputValidationError, match=message):
+                nerve._facet_table(cells, positions=positions)
 
     def test_unordered_cells_still_make_a_complex(self):
         # Rows out of lexicographic order get no carried table; the complex
@@ -631,19 +660,21 @@ class TestSparseNervePipeline:
 
     def test_dimension_far_above_the_simplices(self):
         # The square's nerve ends at its tetrahedron.  d = 500 must give the
-        # same complex and diagram as d = 3, and the facet table must key
+        # same complex and diagram as d = 3, and the facet table must search
         # only the four non-empty cardinalities, not the 498 empty ones.
         dd = distance_matrix(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
         runs = []
         for d in (3, 500):
-            with mock.patch.object(nerve, "_lex_keys", wraps=nerve._lex_keys) as keys:
+            with mock.patch.object(nerve, "_find", wraps=nerve._find) as searches:
                 K = sparse_dowker_nerve(dd, TranslationFunction.identity(), d).complex
-            runs.append((K, compute_persistence(K, d).points, keys.call_count))
+            runs.append((K, compute_persistence(K, d).points, searches.call_count))
         (K, points, calls), (K_high, points_high, calls_high) = runs
         assert K_high.simplices == K.simplices
         np.testing.assert_array_equal(K_high.values, K.values)
         assert points_high == points
-        assert calls_high == calls == 1 + 3 + 4 + 5
+        # Edges take no search; a k-row above them takes k - 2 for its prefix
+        # and k - 1 for its other facets.
+        assert calls_high == calls == 0 + 0 + 3 + 5
 
     def test_persistence_stops_at_the_top_dimension(self):
         # Past the tetrahedron, d adds no dimension to scan: the complex's

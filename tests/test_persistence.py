@@ -249,7 +249,7 @@ class TestComputePersistence:
             cols = facet_lists(facets, dims)
             twist = _reduce_twist(cols, dims)
             assert _reduce_plain(cols, dims) == twist
-            assert _reduce_cohomology(facets, dims, max(dims, default=0)) == twist
+            assert _listed(*_reduce_cohomology(facets, dims, max(dims, default=0))) == twist
 
     def test_matches_rank_oracle_small(self, rng):
         checked = 0
@@ -375,6 +375,11 @@ def integer_clouds(draw):
     return np.reshape(coords, (n, dim)).astype(float)
 
 
+def _listed(pairs, essential):
+    """``_reduce_cohomology``'s arrays as lists, pairs as tuples, like ``_reduce_twist``'s."""
+    return list(map(tuple, pairs.tolist())), essential.tolist()
+
+
 def _columns_with_additions(cols, dims, pairs, max_dim):
     """How many coboundary columns ``_reduce_cohomology`` reduced by addition.
 
@@ -411,7 +416,7 @@ class TestReduceCohomology:
         K = full_dowker_nerve(lam, d)
         top = {"0": 0, "cap-1": K.dim_cap - 1, "cap": K.dim_cap, "cap+1": K.dim_cap + 1}[max_dim]
         facets, dims = _boundary_columns(K)
-        pairs, essential = _reduce_cohomology(facets, dims, top)
+        pairs, essential = _listed(*_reduce_cohomology(facets, dims, top))
         plain_pairs, plain_essential = _reduce_plain(facet_lists(facets, dims), dims)
         assert pairs == [p for p in plain_pairs if dims[p[0]] <= top]
         assert essential == [i for i in plain_essential if dims[i] <= top]
@@ -428,7 +433,7 @@ class TestReduceCohomology:
             K = full_dowker_nerve(distance_matrix(PointCloud(points)).values, 2)
             facets, dims = _boundary_columns(K)
             cols = facet_lists(facets, dims)
-            pairs, essential = _reduce_cohomology(facets, dims, 2)
+            pairs, essential = _listed(*_reduce_cohomology(facets, dims, 2))
             plain_pairs, plain_essential = _reduce_plain(cols, dims)
             assert pairs == [p for p in plain_pairs if dims[p[0]] <= 2]
             assert essential == [i for i in plain_essential if dims[i] <= 2]
@@ -476,7 +481,7 @@ class TestDenseColumn:
     @staticmethod
     def reduce_both(K, top):
         facets, dims = _boundary_columns(K)
-        pairs, essential = _reduce_cohomology(facets, dims, top)
+        pairs, essential = _listed(*_reduce_cohomology(facets, dims, top))
         assert (pairs, essential) == _twist_up_to(facets, dims, top)
         return pairs, essential, dims
 

@@ -225,7 +225,10 @@ class TestTruncate:
 
 def _children_walk_gamma(lam, alpha_lam, tree):
     """Gamma by a leaves-first walk over child lists; the oracle for the order walk."""
-    children = tree.children()
+    children = [[] for _ in range(len(tree))]
+    for l, p in enumerate(tree.parent.tolist()):
+        if l != p:
+            children[p].append(l)
     gamma = alpha_lam.copy()
     for l in tree.leaves_first():
         kids = children[l]
