@@ -6,6 +6,7 @@ with ``inf`` for infinity and ``#`` starting a comment.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,9 +159,23 @@ def write_diagram(path, diagram):
             fh.write(f"{dim},{b!r},{'inf' if np.isinf(d) else repr(d)}\n")
 
 
+def _check_fits(n: int, layers: int = 1):
+    """Raise ``MemoryError`` where ``layers`` n x n float64 matrices exceed
+    physical memory, before they are allocated: a machine that overcommits
+    would start filling them."""
+    need = 8 * n * n * layers
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise MemoryError(
+            f"a distance matrix on {n} points needs {need / 2**30:,.1f} GiB;"
+            f" physical memory is {have / 2**30:,.1f} GiB"
+        )
+
+
 def distance_matrix(cloud: PointCloud) -> DowkerDissimilarity:
     """Euclidean distance matrix of a point cloud (square, symmetric)."""
     X = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, float)
+    _check_fits(X.shape[0], 1 + X.shape[1])
     # Coordinate-major (D, n, n) differences, summed over D in the order
     # numpy sums a trailing axis, so the distances are those of the
     # (n, n, D) layout bit for bit.
@@ -177,10 +192,11 @@ def shortest_path_matrix(g: WeightedGraph) -> DowkerDissimilarity:
 
     Imports scipy on first call, so that no other input path loads it.
     """
+    n = g.node_count
+    _check_fits(n)
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import shortest_path
 
-    n = g.node_count
     if g.edges:
         u, v, w = zip(*g.edges)
         adj = coo_matrix((w, (u, v)), shape=(n, n))
@@ -193,6 +209,7 @@ def shortest_path_matrix(g: WeightedGraph) -> DowkerDissimilarity:
 
 def raw_weight_matrix(g: WeightedGraph) -> DowkerDissimilarity:
     """Adjacency-weight dissimilarity: edge weight, inf off-edges, zero diagonal."""
+    _check_fits(g.node_count)
     dm = np.full((g.node_count, g.node_count), INF)
     np.fill_diagonal(dm, 0.0)
     for u, v, w in g.edges:

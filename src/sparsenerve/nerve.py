@@ -21,7 +21,7 @@ the skeleton's order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -220,22 +220,25 @@ class FilteredComplex:
     ``dims[i]`` is the dimension of the i-th simplex and ``values[i]`` its
     value.  ``cells[p]`` holds the p-simplices as an (m, p + 1) array of
     strictly increasing vertex rows in filtration order, so the i-th simplex
-    is the next row of ``cells[dims[i]]``.  Closed under faces within the
-    cardinality cap ``dim_cap + 1``; values are monotone along face
-    inclusions.  ``check`` verifies all of this.
+    is the next row of ``cells[dims[i]]``.  Entry j of ``facets[p][r]`` is
+    the index of the facet of ``cells[p][r]`` without vertex p - j.  The
+    arrays are read-only.  Closed under faces within the cardinality cap
+    ``dim_cap + 1`` and monotone, as ``make_filtered_complex`` checked.
+    The constructor builds the complex the same way from each dimension's
+    rows in lexicographic order, and raises unless the given order comes
+    out; ``facets`` is not an argument.
     """
 
     cells: tuple
     dims: np.ndarray
     values: np.ndarray
     dim_cap: int
+    facets: tuple = field(default=None, init=False)
 
     def __post_init__(self):
-        cells = tuple(c.copy() for c in _as_cells(self.cells))
-        dims = np.array(self.dims, dtype=np.intp)
-        values = np.array(self.values, dtype=float)
-        if np.isnan(values).any():
-            raise InputValidationError("a filtration value is NaN")
+        cells = _as_cells(self.cells)
+        dims = np.asarray(self.dims, dtype=np.intp)
+        values = np.asarray(self.values, dtype=float)
         if (
             dims.ndim != 1
             or (dims < 0).any()
@@ -243,12 +246,21 @@ class FilteredComplex:
             or values.shape != dims.shape
         ):
             raise InputValidationError("cells, dims and values of a complex disagree")
-        for a in (*cells, dims, values):
-            a.setflags(write=False)
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_facets", None)  # set by make_filtered_complex
+        lex = [np.lexsort(rows.T[::-1]) for rows in cells]
+        given = np.concatenate(
+            [np.empty(0, np.intp), *(np.flatnonzero(dims == p)[o] for p, o in enumerate(lex))]
+        )
+        K, position = _build([c[o] for c, o in zip(cells, lex)], values[given], self.dim_cap)
+        # The built position of each given simplex rises iff the given order
+        # is the complex's, and first falls at the first pair out of order.
+        built = np.empty_like(position)
+        built[given] = position
+        down = np.flatnonzero(built[1:] < built[:-1])
+        if down.size:
+            a, b = (K.simplices[i] for i in built[down[0] : down[0] + 2])
+            raise InputValidationError(f"not sorted at {a} -> {b}")
+        for name in ("cells", "dims", "values", "facets"):
+            object.__setattr__(self, name, getattr(K, name))
 
     def __len__(self):
         return len(self.values)
@@ -263,69 +275,20 @@ class FilteredComplex:
         return dict(zip(self.simplices, self.values.tolist()))
 
     def check(self):
-        """Raise if sortedness, uniqueness, downward closure or monotonicity fail."""
-        self.facet_indices()
-
-    def facet_indices(self) -> tuple:
-        """Indices of each simplex's facets, checking the complex in the same pass.
-
-        Returns one array per dimension p: row r of ``facets[p]`` holds the
-        indices of the facets of the r-th p-simplex, entry j the facet
-        without vertex p - j; ``facets[0]`` has no columns.  Raises
-        ``InputValidationError`` if the simplices are not sorted by (value,
-        cardinality, vertices), enter before one of their facets, or fail
-        ``_facet_table``: it made the table ``make_filtered_complex`` hands
-        over, else it runs here on each dimension in lexicographic order.
-        """
-        cells, dims, values = self.cells, self.dims, self.values
-        at = [np.flatnonzero(dims == p) for p in range(len(cells))]
-
-        def simplex(i):
-            p = dims[i]
-            return tuple(cells[p][np.searchsorted(at[p], i)].tolist())
-
-        dv = np.diff(values)
-        unsorted = (dv < 0) | ((dv == 0) & (np.diff(dims) < 0))
-        for p, rows in enumerate(cells):
-            # Consecutive rows of one dimension that are also consecutive
-            # simplices must rise lexicographically where their values tie.
-            desc = _lex_steps(rows) < 0
-            i, nxt = at[p][:-1][desc], at[p][1:][desc]
-            i = i[nxt == i + 1]
-            unsorted[i[dv[i] == 0]] = True
-        if unsorted.any():
-            i = np.flatnonzero(unsorted)[0]
-            raise InputValidationError(f"not sorted at {simplex(i)} -> {simplex(i + 1)}")
-
-        facets = self._facets
-        if facets is None:
-            lex = [np.lexsort(rows.T[::-1]) for rows in cells]
-            table = _facet_table(
-                [rows[o] for rows, o in zip(cells, lex)], [a[o] for a, o in zip(at, lex)]
-            )
-            facets = list(table[:1])
-            for p in range(1, len(cells)):
-                face = np.empty_like(table[p])
-                face[lex[p]] = at[p - 1][lex[p - 1]][table[p]]
-                facets.append(face)
-        for p in range(1, len(cells)):
-            worse = np.argwhere(values[facets[p]] > values[at[p]][:, None])
-            if worse.size:
-                r, j = worse[0]
-                raise InputValidationError(
-                    f"filtration not monotone: {simplex(facets[p][r, j])} > {simplex(at[p][r])}"
-                )
-        return tuple(facets)
+        """Raise unless the cells, dims and values build this complex again."""
+        FilteredComplex(self.cells, self.dims, self.values, self.dim_cap)
 
 
 def make_filtered_complex(cells, values=None, *, dim_cap: int, facets=None) -> FilteredComplex:
-    """Sort simplices into a FilteredComplex, by (value, cardinality, vertices).
+    """Check simplices and sort them into a FilteredComplex, by (value, cardinality, vertices).
 
-    ``cells[k - 1]`` holds the k-vertex simplices as in ``Skeleton``, and
-    ``values`` their values, cardinality after cardinality.  Tests and
-    oracles may pass a dict simplex -> value instead, without ``values``.
-    The complex carries ``facets`` (by default ``_facet_table(cells)``) in
-    filtration order, unless the table raises: its check then says why.
+    ``cells[k - 1]`` holds the k-vertex simplices as in ``Skeleton``, rows
+    in lexicographic order, and ``values`` their values, cardinality after
+    cardinality.  Tests and oracles may pass a dict simplex -> value
+    instead, without ``values``.  ``facets`` is the cells' ``_facet_table``
+    where the caller has it; else the table is made, and the cells checked,
+    here.  Raises ``InputValidationError`` where the cells fail
+    ``_facet_table`` or a value is NaN or below one of its facets'.
     """
     if values is None:
         items = sorted(cells.items(), key=lambda sv: (len(sv[0]), tuple(sv[0])))
@@ -334,37 +297,51 @@ def make_filtered_complex(cells, values=None, *, dim_cap: int, facets=None) -> F
         top = len(items[-1][0]) if items else 0
         cells = [[s for s, _ in items if len(s) == k] for k in range(1, top + 1)]
         values = [v for _, v in items]
-    cells = _as_cells(cells)
-    values = np.asarray(values, dtype=float)
+    return _build(_as_cells(cells), np.asarray(values, dtype=float), dim_cap, facets)[0]
+
+
+def _build(cells, values, dim_cap, facets=None):
+    """The complex of lexicographic ``cells`` and the position of each in it.
+
+    Checks the cells (``_facet_table``, unless ``facets`` is theirs) and the
+    values: not NaN, and monotone, which a value is where ``_monotone_snap``
+    leaves it.  Names the fault first in filtration order.  A stable sort
+    keeps tied values in the (cardinality, vertices) order of the input.
+    """
     counts = [len(c) for c in cells]
     if values.shape != (sum(counts),):
         raise InputValidationError("cells and values of a complex disagree")
+    if np.isnan(values).any():
+        raise InputValidationError("a filtration value is NaN")
     card = np.repeat(np.arange(len(cells)), counts)
-    # Stable, so tied values keep the (cardinality, vertices) order of the input.
     order = np.lexsort((card, values))
-    dims = card[order]
-    start = np.cumsum(counts) - counts
-    rows = [order[dims == p] - start[p] for p in range(len(cells))]
-    K = FilteredComplex(
-        cells=tuple(c[r] for c, r in zip(cells, rows)),
-        dims=dims,
-        values=values[order],
-        dim_cap=dim_cap,
-    )
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    start = np.cumsum(counts, dtype=np.intp) - counts
+    rank = np.split(position, start[1:])
     if facets is None:
-        try:
-            facets = _facet_table(cells)
-        except InputValidationError:
-            return K
-    rank = np.empty_like(order)  # input position -> position in K
-    rank[order] = np.arange(len(order))
+        facets = _facet_table(cells, rank)
+    bad = np.flatnonzero(_monotone_snap(values, facets) != values)
+    if bad.size:
+        # At the lowest cardinality with a fault, the facets' values are as given.
+        p = card[bad[0]]
+        r = min(bad[card[bad] == p] - start[p], key=rank[p].__getitem__)
+        face = facets[p][r][np.argmax(values[start[p - 1] + facets[p][r]] > values[start[p] + r])]
+        a, b = tuple(cells[p - 1][face].tolist()), tuple(cells[p][r].tolist())
+        raise InputValidationError(f"filtration not monotone: {a} > {b}")
+    dims = card[order]
+    rows = [order[dims == p] - start[p] for p in range(len(cells))]
     table = list(facets[:1])
     for p in range(1, len(cells)):
-        table.append(rank[start[p - 1] + facets[p][rows[p]]])
-    for t in table:
-        t.setflags(write=False)
-    object.__setattr__(K, "_facets", tuple(table))
-    return K
+        table.append(position[start[p - 1] + facets[p][rows[p]]])
+    cells = tuple(c[r] for c, r in zip(cells, rows))
+    values = values[order]
+    for a in (*cells, dims, values, *table):
+        a.setflags(write=False)
+    # Checked above: made without the constructor, which would check again.
+    K = object.__new__(FilteredComplex)
+    vars(K).update(cells=cells, dims=dims, values=values, dim_cap=dim_cap, facets=tuple(table))
+    return K, position
 
 
 def _as_cells(cells) -> tuple:

@@ -32,9 +32,8 @@ class PersistenceDiagram:
 
 
 def _boundary_columns(K: FilteredComplex):
-    """(``K.facet_indices()``, ``K.dims``): the facet table ``make_filtered_complex``
-    found, else the one ``facet_indices`` derives, and each simplex's dimension."""
-    return K.facet_indices(), K.dims
+    """(``K.facets``, ``K.dims``): each simplex's facets and its dimension."""
+    return K.facets, K.dims
 
 
 def _reduce_cohomology(facets, dims, max_dim):
@@ -186,12 +185,11 @@ def _reduce_twist(cols, dims):
 def compute_persistence(K: FilteredComplex, max_dim: int) -> PersistenceDiagram:
     """Persistence diagram of a filtered complex over Z/2, dimensions 0..max_dim.
 
-    The complex must be sorted, free of duplicates, downward closed and
-    monotone (checked).  Dimension 0 comes from union-find, dimensions
-    1..max_dim from persistent cohomology with clearing; the pairs are those
-    of the standard boundary-matrix reduction.  Deaths in dimension k need
-    (k+1)-simplices, so ``max_dim`` should be at most ``K.dim_cap - 1`` for
-    the top dimension to be complete.
+    Dimension 0 comes from union-find, dimensions 1..max_dim from persistent
+    cohomology with clearing; the pairs are those of the standard
+    boundary-matrix reduction.  Deaths in dimension k need (k+1)-simplices,
+    so ``max_dim`` should be at most ``K.dim_cap - 1`` for the top dimension
+    to be complete.  ``FilteredComplex`` checked ``K`` where it was built.
     """
     if max_dim < 0:
         raise InputValidationError(f"max_dim must be >= 0, got {max_dim}")

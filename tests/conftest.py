@@ -18,7 +18,7 @@ EVERY_ALPHA_KIND = [
 
 def facet_lists(facets, dims):
     """Facet indices per simplex, as tuples in filtration order, from the
-    per-dimension arrays of ``FilteredComplex.facet_indices``."""
+    per-dimension arrays of ``FilteredComplex.facets``."""
     cols = [()] * len(dims)
     for p, rows in enumerate(facets):
         for i, row in zip(np.flatnonzero(np.asarray(dims) == p).tolist(), rows.tolist()):

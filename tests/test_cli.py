@@ -201,6 +201,22 @@ class TestPh:
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
+    def test_matrix_beyond_physical_memory_exit_1(self, tmp_path, capsys, monkeypatch):
+        # The same 4.66 TiB matrix, refused before scipy is called, with no
+        # address-space cap.
+        import scipy.sparse.csgraph
+
+        def shortest_path(*args, **kwargs):
+            raise AssertionError("scipy called")
+
+        monkeypatch.setattr(scipy.sparse.csgraph, "shortest_path", shortest_path)
+        path = tmp_path / "g.txt"
+        path.write_text("0 799999\n")
+        assert main(["ph", "--input", str(path), "--format", "graph", "--mode", "network"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a distance matrix on 800000 points needs 4,768.4 GiB;")
+        assert err.count("\n") == 1
+
     def test_isolated_nodes_stay_small(self, tmp_path):
         # Nodes 1..798 have no edge, so they and node 0 are never
         # restricted: 799 landmarks share R = inf.  Emitting each face once

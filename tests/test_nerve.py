@@ -1,10 +1,12 @@
+import dataclasses
+import re
 import warnings
 from itertools import combinations
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sparsenerve import nerve
@@ -230,16 +232,25 @@ class TestFilteredComplex:
         K.check()
 
     def test_check_rejects_missing_face(self):
-        K = make_filtered_complex({(0,): 0.0, (0, 1): 1.0}, dim_cap=1)
-        with pytest.raises(InputValidationError):
-            K.check()
+        # Every complex is checked where it is built.
+        with pytest.raises(InputValidationError, match=r"missing face \(1,\) of \(0, 1\)"):
+            make_filtered_complex({(0,): 0.0, (0, 1): 1.0}, dim_cap=1)
 
     def test_check_rejects_non_monotone(self):
-        K = make_filtered_complex(
-            {(0,): 0.0, (1,): 2.0, (0, 1): 1.0}, dim_cap=1
-        )
-        with pytest.raises(InputValidationError):
-            K.check()
+        with pytest.raises(InputValidationError, match=r"not monotone: \(1,\) > \(0, 1\)"):
+            make_filtered_complex({(0,): 0.0, (1,): 2.0, (0, 1): 1.0}, dim_cap=1)
+
+    def test_no_construction_skips_the_checks(self):
+        K = make_filtered_complex({(0,): 0.0, (1,): 0.0, (0, 1): 1.0}, dim_cap=1)
+        with pytest.raises(InputValidationError, match=r"not monotone: \(1,\) > \(0, 1\)"):
+            dataclasses.replace(K, values=np.array([0.0, 2.0, 1.0]))
+        with pytest.raises(InputValidationError, match=r"not sorted at \(1,\) -> \(0,\)"):
+            dataclasses.replace(K, cells=(K.cells[0][::-1], K.cells[1]))
+        with pytest.raises(TypeError):
+            nerve.FilteredComplex(K.cells, K.dims, np.array([0.0, 2.0, 1.0]), 1, K.facets)
+        with pytest.raises(TypeError):
+            nerve.FilteredComplex(K.cells, K.dims, K.values, 1, facets=K.facets)
+        assert _tables_equal(dataclasses.replace(K).facets, K.facets)
 
     def test_nan_value_rejected(self):
         # A NaN value would reach the diagram as the point (0, nan, inf).
@@ -276,8 +287,13 @@ class TestFilteredComplex:
             n = int(rng.integers(1, 8))
             simplices = [s for k in range(1, 5) for s in combinations(range(n), k)]
             rng.shuffle(simplices)
-            ties = rng.choice([0.0, 1.0, 2.0, INF], size=len(simplices)).tolist()
-            value_by_simplex = dict(zip(simplices, ties))
+            ties = dict(zip(simplices, rng.choice([0.0, 1.0, 2.0, INF], size=len(simplices))))
+            # Lifted to the maximum over each simplex's faces: tied, and
+            # monotone, as a complex's values must be.
+            value_by_simplex = {
+                s: max(ties[f] for k in range(1, len(s) + 1) for f in combinations(s, k))
+                for s in simplices
+            }
             K = make_filtered_complex(value_by_simplex, dim_cap=3)
             # Oracle: an explicit (value, cardinality, vertices) sort key.
             oracle = sorted(
@@ -383,23 +399,23 @@ def _check_against_oracle(faces, d, seed):
     order = sorted(oracle, key=lambda s: (value_of[s], len(s), s))
     assert K.simplices == tuple(order)
     assert K.values.tolist() == [value_of[s] for s in order]
-    assert facet_lists(K.facet_indices(), K.dims) == _dict_facets(order)
-    _assert_carried_table_is_derived(K)
+    assert facet_lists(K.facets, K.dims) == _dict_facets(order)
     from_dict = make_filtered_complex(value_of, dim_cap=d + 1)
     assert from_dict.simplices == K.simplices
     assert np.array_equal(from_dict.values, K.values)
 
 
-def _assert_carried_table_is_derived(K):
-    """The facet table make_filtered_complex carries equals the one
-    facet_indices derives for the same cells, dims and values."""
-    assert K._facets is not None
-    direct = nerve.FilteredComplex(cells=K.cells, dims=K.dims, values=K.values, dim_cap=K.dim_cap)
-    assert direct._facets is None
-    carried, derived = K.facet_indices(), direct.facet_indices()
-    assert len(carried) == len(derived)
-    for a, b in zip(carried, derived):
-        assert a.shape == b.shape and np.array_equal(a, b)
+def _assert_round_trips(K):
+    """The constructor, given K's cells, dims and values, builds K again,
+    field for field, its facet table byte for byte."""
+    L = nerve.FilteredComplex(K.cells, K.dims, K.values, K.dim_cap)
+    assert L.dim_cap == K.dim_cap
+    for field in ("cells", "facets"):
+        assert _tables_equal(getattr(L, field), getattr(K, field))
+    for field in ("dims", "values"):
+        a, b = getattr(L, field), getattr(K, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert not any(a.flags.writeable for a in (*L.cells, *L.facets, L.dims, L.values))
 
 
 @st.composite
@@ -437,6 +453,26 @@ class TestArrayComplexOracle:
         else:
             assert len(expand_skeleton(_faces(faces), d, max_simplices=b)) == size
 
+    @settings(max_examples=200, deadline=None)
+    @given(faces=face_families(), d=st.integers(0, 3), seed=st.integers(0, 3), data=st.data())
+    def test_constructor_round_trips_and_names_a_swapped_pair(self, faces, d, seed, data):
+        skeleton = expand_skeleton(_faces(faces), d)
+        value_of = _tied_values(_rows_of(skeleton), seed)
+        K = make_filtered_complex(
+            skeleton.cells, [value_of[s] for s in _rows_of(skeleton)], dim_cap=d + 1
+        )
+        _assert_round_trips(K)
+        assume(len(K) > 1)
+        # Two neighbours swapped: their order is the only fault, named as given.
+        i = data.draw(st.integers(0, len(K) - 2))
+        perm = np.arange(len(K))
+        perm[[i, i + 1]] = i + 1, i
+        simplices = [K.simplices[j] for j in perm]
+        cells = [[s for s in simplices if len(s) == p + 1] for p in range(len(K.cells))]
+        pair = re.escape(f"not sorted at {K.simplices[i + 1]} -> {K.simplices[i]}")
+        with pytest.raises(InputValidationError, match=f"^{pair}$"):
+            nerve.FilteredComplex(cells, K.dims[perm], K.values[perm], K.dim_cap)
+
     def test_wide_keys_at_large_labels(self):
         # Lexicographic ranks of 5- and 6-subsets of 10**5 labels overflow
         # int64; keys by prefix row and last vertex do not grow with the labels.
@@ -468,12 +504,36 @@ class TestFacetTable:
     def test_carried_by_pipeline_complexes(self, rng):
         for _ in range(10):
             lam = random_dissimilarity(rng)
-            _assert_carried_table_is_derived(full_dowker_nerve(lam, 2))
-            _assert_carried_table_is_derived(
+            _assert_round_trips(full_dowker_nerve(lam, 2))
+            _assert_round_trips(
                 sparse_dowker_nerve(DowkerDissimilarity(lam), TranslationFunction.identity(), 2).complex
             )
         X = sample_clifford_torus(30, 0).points
-        _assert_carried_table_is_derived(ambient_cech_nerve(X, TranslationFunction.identity(), 2))
+        _assert_round_trips(ambient_cech_nerve(X, TranslationFunction.identity(), 2))
+
+    def test_tables_are_made_once(self):
+        # The pipeline makes its table once; persistence reads it and checks
+        # nothing; make_filtered_complex makes one only when not handed one.
+        dd = distance_matrix(sample_clifford_torus(40, 0))
+        with (
+            mock.patch.object(nerve, "_facet_table", wraps=nerve._facet_table) as tables,
+            mock.patch.object(nerve, "_lex_steps", wraps=nerve._lex_steps) as steps,
+        ):
+            K = sparse_dowker_nerve(dd, TranslationFunction.multiplicative(1.5), 2).complex
+            assert tables.call_count == 1
+            tables.reset_mock()
+            steps.reset_mock()
+            compute_persistence(K, 2)
+            assert tables.call_count == steps.call_count == 0
+            cells = [nerve._combinations(6, k) for k in range(1, 4)]
+            values = filtration_values(dd.values[:6, :6], cells)
+            built = make_filtered_complex(cells, values, dim_cap=2)
+            assert tables.call_count == 1
+            handed = make_filtered_complex(
+                cells, values, dim_cap=2, facets=nerve._facet_table(cells)
+            )
+            assert tables.call_count == 2
+        assert _tables_equal(handed.facets, built.facets)
 
     def test_wide_rows_match_combinations(self):
         # Labels whose 5-subsets have lexicographic ranks past 2**63.
@@ -492,7 +552,7 @@ class TestFacetTable:
     def test_labels_near_2_to_the_62(self):
         # Keys do not grow with the labels: no table or key is sized by them.
         K = make_filtered_complex({(0,): 0.0, (2**62,): 0.0, (0, 2**62): 1.0}, dim_cap=1)
-        assert K._facets is not None
+        assert [f.tolist() for f in K.facets] == [[[], []], [[0, 1]]]
         assert compute_persistence(K, 1).points == ((0, 0.0, 1.0), (0, 0.0, INF))
 
     @pytest.mark.parametrize(
@@ -520,13 +580,13 @@ class TestFacetTable:
             with pytest.raises(InputValidationError, match=message):
                 nerve._facet_table(cells, positions=positions)
 
-    def test_unordered_cells_still_make_a_complex(self):
-        # Rows out of lexicographic order get no carried table; the complex
-        # derives it when checked.
-        K = make_filtered_complex([np.array([[1], [0]]), np.array([[0, 1]])], [0.0, 1.0, 2.0], dim_cap=1)
-        assert K._facets is None
-        assert K.simplices == ((1,), (0,), (0, 1))
-        assert [f.tolist() for f in K.facet_indices()] == [[[], []], [[1, 0]]]
+    def test_unordered_cells_rejected(self):
+        # make_filtered_complex takes each cardinality's rows in
+        # lexicographic order, as the skeleton makes them.
+        with pytest.raises(InputValidationError, match=r"lexicographic order at \(1,\) -> \(0,\)"):
+            make_filtered_complex(
+                [np.array([[1], [0]]), np.array([[0, 1]])], [0.0, 1.0, 2.0], dim_cap=1
+            )
 
 
 class TestValidateOnce:

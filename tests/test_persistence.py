@@ -288,9 +288,9 @@ class TestComputePersistence:
             assert dg.n_zero_length == len(pairs) - (len(points) - len(essential))
 
     def test_unclosed_complex_rejected(self):
-        K = make_filtered_complex({(0,): 0.0, (0, 1): 1.0}, dim_cap=1)
-        with pytest.raises(InputValidationError):
-            compute_persistence(K, 1)
+        # A complex is checked where it is built, never in the reduction.
+        with pytest.raises(InputValidationError, match="missing face"):
+            make_filtered_complex({(0,): 0.0, (0, 1): 1.0}, dim_cap=1)
 
     @pytest.mark.parametrize(
         "simplices, values, message",
@@ -310,9 +310,8 @@ class TestComputePersistence:
     def test_malformed_complex_rejected(self, simplices, values, message):
         dims = [len(s) - 1 for s in simplices]
         cells = [[s for s in simplices if len(s) == p + 1] for p in range(max(dims) + 1)]
-        K = FilteredComplex(cells=tuple(cells), dims=dims, values=values, dim_cap=1)
         with pytest.raises(InputValidationError, match=message):
-            compute_persistence(K, 1)
+            FilteredComplex(cells=tuple(cells), dims=dims, values=values, dim_cap=1)
 
     def test_negative_max_dim_rejected(self):
         K = make_filtered_complex({(0,): 0.0}, dim_cap=0)
