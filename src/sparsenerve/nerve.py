@@ -5,8 +5,8 @@ is built from maximal faces emitted once per (restriction time, witness)
 pair and expanded into a (d+1)-skeleton by extension: a k-simplex is a
 (k-1)-simplex extended by a larger vertex that shares a face with all of
 it, so each is made once, in lexicographic order.  The intrinsic and the
-ambient mode run one pipeline, skeleton -> facet table -> values ->
-complex, and differ in the values: min-max values from the original
+ambient mode run one pipeline, skeleton (with its facet table) -> values
+-> complex, and differ in the values: min-max values from the original
 Lambda, v(sigma) = min over w of max over l in sigma of Lambda(l, w), or
 smallest-enclosing-ball radii of the points on doubled restriction times.
 
@@ -14,8 +14,8 @@ Simplices are stored as integer arrays, one per cardinality k: an (m, k)
 array of strictly increasing vertex rows in lexicographic order.  A row is
 its prefix, the row without its last vertex, plus that vertex, and is
 looked up by the key row(prefix) * u + position(last vertex) over the u
-vertices, one int64 that rises with the rows.  Facets are found once, on
-the skeleton's order.
+vertices, one int64 that rises with the rows.  Facets are found once, by
+the expansion, which knows both parts of each key.
 """
 
 from __future__ import annotations
@@ -80,21 +80,21 @@ def _find(keys: np.ndarray, query: np.ndarray):
     return at, keys.take(at, mode="clip") == query
 
 
-def _facet_table(cells, rank=None, positions=None) -> tuple:
+def _facet_table(cells, rank=None, trie=None) -> tuple:
     """Facets of simplices in ``Skeleton`` order, as rows one cardinality down.
 
     Entry (r, j) of ``table[k - 1]`` is the row in ``cells[k - 2]`` of the
     facet of ``cells[k - 1][r]`` without vertex k - 1 - j
     (``itertools.combinations`` order).  A k-row's key is
-    row(prefix) * u + position(last vertex): the prefix, the row without
-    its last vertex, is a row one cardinality down, and ``positions`` (as
-    ``Skeleton`` holds them; by default found among the u vertices of
-    ``cells[0]``) index the vertices.  Keys rise exactly where rows do.
-    The facet without vertex i < k - 1 has the prefix's facet without i as
-    its prefix, so it is one binary search (``_find``) one cardinality
-    down.  Raises ``InputValidationError``, naming the faulty row of least
-    ``rank`` if given, where a row is not increasing and non-negative,
-    repeats, is out of order or misses a facet.
+    row(prefix) * u + position(last vertex) among the u vertices
+    ``cells[0]``; keys rise exactly where rows do.  ``trie[k - 1]`` is the
+    (prefix row, last position) of each k-row, as the expansion hands them
+    over; without it, both are found by binary searches (``_find``).  The
+    facet without vertex i < k - 1 has the prefix's facet without i as its
+    prefix, so it is one search one cardinality down.  Raises
+    ``InputValidationError``, naming the faulty row of least ``rank`` if
+    given, where a row is not increasing and non-negative, repeats, is out
+    of order or misses a facet.
     """
 
     def first(k, bad):
@@ -118,18 +118,20 @@ def _facet_table(cells, rank=None, positions=None) -> tuple:
                 raise InputValidationError(
                     f"{len(cells[k - 2])} simplices on {u} vertices overflow int64 keys"
                 )
-            if positions is None:
+            if trie is None:
                 pos, known = _find(cells[0][:, 0], rows.T)
+                # The prefix's row, through its own prefix one cardinality
+                # down; the queries rise with the rows.
+                prefix, there = pos[0], known[:-1].all(axis=0)
+                for j in range(1, k - 1):
+                    prefix, found = _find(keys[j], prefix * u + pos[j])
+                    there &= found
+                last, landed = pos[-1], known[-1]
             else:
-                pos, known = positions[k - 1].T, np.ones((k, len(rows)), bool)
-            # The prefix's row, through its own prefix one cardinality down;
-            # the queries rise with the rows.
-            prefix, there = pos[0], known[:-1].all(axis=0)
-            for j in range(1, k - 1):
-                prefix, found = _find(keys[j], prefix * u + pos[j])
-                there &= found
-        if k > 1 and there.all() and known[-1].all():
-            keys.append(prefix * u + pos[-1])
+                prefix, last = trie[k - 1]
+                there = landed = np.ones(len(rows), bool)
+        if k > 1 and there.all() and landed.all():
+            keys.append(prefix * u + last)
             step = np.diff(keys[-1])
         else:  # vertices, or rows that miss a facet, reported below
             step = _lex_steps(rows)
@@ -147,12 +149,12 @@ def _facet_table(cells, rank=None, positions=None) -> tuple:
             if j == 0:
                 at, found = prefix, there
             elif k == 2:  # the facet without the first vertex is the last
-                at, found = pos[1], known[1]
+                at, found = last, landed
             else:
                 # The prefix's facet without vertex k - 1 - j, then the last vertex.
-                query = table[k - 2][:, j - 1].take(prefix) * u + pos[-1]
+                query = table[k - 2][:, j - 1].take(prefix) * u + last
                 at, found = _find(keys[k - 2], query)
-                found &= known[-1]
+                found &= landed
             if not found.all():
                 r = first(k, np.flatnonzero(~found))
                 face = tuple(np.delete(rows[r], k - 1 - j).tolist())
@@ -202,12 +204,12 @@ class Skeleton:
     each a strictly increasing vertex row, rows in lexicographic order and
     without repeats; ``len`` counts simplices.  The cells stop at the
     largest cardinality that has simplices, or at the vertices.
-    ``positions`` is shaped like ``cells`` and holds each vertex's position
-    among the vertices ``cells[0]``.
+    ``facets`` is their ``_facet_table`` where ``expand_skeleton`` made
+    both, read-only; it is not an argument, so other skeletons have none.
     """
 
     cells: tuple
-    positions: tuple
+    facets: tuple = field(default=None, init=False)
 
     def __len__(self):
         return sum(map(len, self.cells))
@@ -279,17 +281,18 @@ class FilteredComplex:
         FilteredComplex(self.cells, self.dims, self.values, self.dim_cap)
 
 
-def make_filtered_complex(cells, values=None, *, dim_cap: int, facets=None) -> FilteredComplex:
+def make_filtered_complex(cells, values=None, *, dim_cap: int) -> FilteredComplex:
     """Check simplices and sort them into a FilteredComplex, by (value, cardinality, vertices).
 
-    ``cells[k - 1]`` holds the k-vertex simplices as in ``Skeleton``, rows
-    in lexicographic order, and ``values`` their values, cardinality after
-    cardinality.  Tests and oracles may pass a dict simplex -> value
-    instead, without ``values``.  ``facets`` is the cells' ``_facet_table``
-    where the caller has it; else the table is made, and the cells checked,
-    here.  Raises ``InputValidationError`` where the cells fail
-    ``_facet_table`` or a value is NaN or below one of its facets'.
+    ``cells`` is a ``Skeleton``, whose ``facets`` are used as they are, or
+    its ``cells``, k-vertex rows in lexicographic order, checked here by
+    ``_facet_table``.  ``values`` follow the cells, cardinality after
+    cardinality; tests and oracles may pass a dict simplex -> value
+    instead.  Raises ``InputValidationError`` where the cells fail the
+    table's checks or a value is NaN or below one of its facets'.
     """
+    if isinstance(cells, Skeleton):
+        return _build(_as_cells(cells.cells), np.asarray(values, float), dim_cap, cells.facets)[0]
     if values is None:
         items = sorted(cells.items(), key=lambda sv: (len(sv[0]), tuple(sv[0])))
         if items and not len(items[0][0]):
@@ -297,7 +300,7 @@ def make_filtered_complex(cells, values=None, *, dim_cap: int, facets=None) -> F
         top = len(items[-1][0]) if items else 0
         cells = [[s for s, _ in items if len(s) == k] for k in range(1, top + 1)]
         values = [v for _, v in items]
-    return _build(_as_cells(cells), np.asarray(values, dtype=float), dim_cap, facets)[0]
+    return _build(_as_cells(cells), np.asarray(values, dtype=float), dim_cap)[0]
 
 
 def _build(cells, values, dim_cap, facets=None):
@@ -506,12 +509,14 @@ def expand_skeleton(faces: Faces, d: int, max_simplices=None) -> Skeleton:
     vertices, and the AND of ``_incidence`` over sigma and c is non-zero.
     Extending the rows in order, each by its candidates in increasing
     order, emits every cardinality in lexicographic order, up to
-    min(d + 2, the largest face's size).  Raises ``SizeLimitError`` up
-    front if the vertices or the largest face's subsets exceed
-    ``max_simplices``, else once a chunk takes the count past it.
+    min(d + 2, the largest face's size).  The row extended and the vertex
+    added give the ``_facet_table`` the skeleton carries.  Raises
+    ``SizeLimitError`` up front if the vertices or the largest face's
+    subsets exceed ``max_simplices``, else once a chunk takes the count
+    past it.
     """
     if not faces.rows:
-        return Skeleton((np.empty((0, 1), np.int64),), (np.empty((0, 1), np.intp),))
+        return _skeleton([np.empty((0, 1), np.int64)], [None])
     flat = np.concatenate([b.ravel() for b in faces.rows])
     labels, vertex = np.unique(flat, return_inverse=True)
     u, sizes = len(labels), [b.shape[1] for b in faces.rows]
@@ -540,7 +545,7 @@ def expand_skeleton(faces: Faces, d: int, max_simplices=None) -> Skeleton:
     first = np.searchsorted(a, np.arange(u + 1))
 
     total, sigma = u, np.arange(u).reshape(-1, 1)
-    cells, positions = [labels.reshape(-1, 1)], [sigma]
+    cells, trie = [labels.reshape(-1, 1)], [None]
     # A chunk's rows and candidates take about _CHUNK_CELLS words of bitsets.
     step = max(1, _CHUNK_CELLS // incidence.shape[1])
     # A face of the largest size has subsets of every smaller size.
@@ -548,8 +553,8 @@ def expand_skeleton(faces: Faces, d: int, max_simplices=None) -> Skeleton:
         count = np.diff(first)[sigma[:, -1]]
         ends = np.cumsum(count + 1)
         cuts = np.searchsorted(ends, np.arange(step, ends[-1], step))
-        parts = []
-        for rows, cnt in zip(np.split(sigma, cuts), np.split(count, cuts)):
+        parts, prefix = [], []
+        for offset, rows, cnt in zip(np.r_[0, cuts], np.split(sigma, cuts), np.split(count, cuts)):
             rep = np.repeat(np.arange(len(rows)), cnt)
             at = np.repeat(first[rows[:, -1]] - np.cumsum(cnt) + cnt, cnt)
             c = above[at + np.arange(len(rep))]
@@ -564,13 +569,23 @@ def expand_skeleton(faces: Faces, d: int, max_simplices=None) -> Skeleton:
                 ok = np.bitwise_or.reduce(common[rep] & incidence[c], axis=1) != 0
                 rep, c = rep[ok], c[ok]
             parts.append(np.column_stack((rows[rep], c)))
+            prefix.append(offset + rep)
             total += len(c)
             if max_simplices is not None and total > max_simplices:
                 raise SizeLimitError(total, max_simplices)
         sigma = np.concatenate(parts)
         cells.append(labels[sigma])
-        positions.append(sigma)
-    return Skeleton(tuple(cells), tuple(positions))
+        trie.append((np.concatenate(prefix), sigma[:, -1]))
+    return _skeleton(cells, trie)
+
+
+def _skeleton(cells, trie) -> Skeleton:
+    """The skeleton of the expansion's cells, with its facet table, read-only."""
+    skeleton, facets = Skeleton(tuple(cells)), _facet_table(cells, trie=trie)
+    for a in (*cells, *facets):
+        a.setflags(write=False)
+    object.__setattr__(skeleton, "facets", facets)
+    return skeleton
 
 
 def full_dowker_nerve(lam, d: int, max_simplices=None) -> FilteredComplex:
@@ -601,8 +616,8 @@ class SparseNerveResult:
 
 
 def _sparse_nerve(dd, alpha, d, initial_point, max_simplices, points=None):
-    """The pipeline of both entry points: truncation, R, faces, skeleton,
-    facet table, values, complex.
+    """The pipeline of both entry points: truncation, R, faces, skeleton
+    with its facet table, values, complex.
 
     Truncates Lambda to Gamma (validating alpha; farthest-point sampling
     computes only the cover entries it needs) and reads R off the
@@ -623,13 +638,11 @@ def _sparse_nerve(dd, alpha, d, initial_point, max_simplices, points=None):
         R = RestrictionTimes(times=2.0 * R.times, tree=R.tree)
     faces = maximal_faces(tr.gamma, R, slope_points(tr.tree, R))
     skeleton = expand_skeleton(faces, d, max_simplices)
-    cells = skeleton.cells
-    facets = _facet_table(cells, positions=skeleton.positions)
     if points is None:
-        values = filtration_values(dd, cells)
+        values = filtration_values(dd, skeleton.cells)
     else:
-        values = ambient_radii(points, cells, facets)
-    complex_ = make_filtered_complex(cells, values, dim_cap=d + 1, facets=facets)
+        values = ambient_radii(points, skeleton.cells, skeleton.facets)
+    complex_ = make_filtered_complex(skeleton, values, dim_cap=d + 1)
     return SparseNerveResult(complex=complex_, gamma=tr.gamma, phi=tr.tree, restriction=R)
 
 
@@ -704,10 +717,7 @@ def full_ambient_cech(points, d: int) -> FilteredComplex:
     X = np.asarray(points, dtype=float)
     cells = [_combinations(X.shape[0], k) for k in range(1, d + 3)]
     radii = [miniball(X[row])[1] for c in cells for row in c]
-    facets = _facet_table(cells)
-    return make_filtered_complex(
-        cells, _monotone_snap(radii, facets), dim_cap=d + 1, facets=facets
-    )
+    return make_filtered_complex(cells, _monotone_snap(radii, _facet_table(cells)), dim_cap=d + 1)
 
 
 def _monotone_snap(values, facets) -> np.ndarray:

@@ -393,9 +393,8 @@ def _check_against_oracle(faces, d, seed):
     assert len(skeleton) == len(oracle)
     assert _rows_of(skeleton) == sorted(oracle, key=lambda s: (len(s), s))
     value_of = _tied_values(oracle, seed)
-    K = make_filtered_complex(
-        skeleton.cells, [value_of[s] for s in _rows_of(skeleton)], dim_cap=d + 1
-    )
+    # The expansion's own facet table, made chunk by chunk, is used as it is.
+    K = make_filtered_complex(skeleton, [value_of[s] for s in _rows_of(skeleton)], dim_cap=d + 1)
     order = sorted(oracle, key=lambda s: (value_of[s], len(s), s))
     assert K.simplices == tuple(order)
     assert K.values.tolist() == [value_of[s] for s in order]
@@ -512,28 +511,60 @@ class TestFacetTable:
         _assert_round_trips(ambient_cech_nerve(X, TranslationFunction.identity(), 2))
 
     def test_tables_are_made_once(self):
-        # The pipeline makes its table once; persistence reads it and checks
-        # nothing; make_filtered_complex makes one only when not handed one.
+        # The pipeline makes its table once, inside the expansion;
+        # persistence reads it and checks nothing; make_filtered_complex
+        # makes one only for cells that do not carry one.
         dd = distance_matrix(sample_clifford_torus(40, 0))
         with (
             mock.patch.object(nerve, "_facet_table", wraps=nerve._facet_table) as tables,
             mock.patch.object(nerve, "_lex_steps", wraps=nerve._lex_steps) as steps,
         ):
             K = sparse_dowker_nerve(dd, TranslationFunction.multiplicative(1.5), 2).complex
+            # Only the expansion knows the rows' prefixes.
             assert tables.call_count == 1
+            assert tables.call_args.kwargs["trie"] is not None
             tables.reset_mock()
             steps.reset_mock()
             compute_persistence(K, 2)
             assert tables.call_count == steps.call_count == 0
-            cells = [nerve._combinations(6, k) for k in range(1, 4)]
-            values = filtration_values(dd.values[:6, :6], cells)
-            built = make_filtered_complex(cells, values, dim_cap=2)
+        faces = _faces([frozenset(range(5)), frozenset({3, 4, 5, 6}), frozenset({0, 6, 9})])
+        with mock.patch.object(nerve, "_facet_table", wraps=nerve._facet_table) as tables:
+            skeleton = expand_skeleton(faces, 2)
             assert tables.call_count == 1
-            handed = make_filtered_complex(
-                cells, values, dim_cap=2, facets=nerve._facet_table(cells)
-            )
+            values = filtration_values(dd, skeleton.cells)
+            carried = make_filtered_complex(skeleton, values, dim_cap=3)
+            assert tables.call_count == 1
+            built = make_filtered_complex(skeleton.cells, values, dim_cap=3)
             assert tables.call_count == 2
-        assert _tables_equal(handed.facets, built.facets)
+            by_hand = make_filtered_complex(nerve.Skeleton(skeleton.cells), values, dim_cap=3)
+            assert tables.call_count == 3
+        for K in (built, by_hand):
+            for field in ("cells", "facets"):
+                assert _tables_equal(getattr(K, field), getattr(carried, field))
+            assert K.values.tobytes() == carried.values.tobytes()
+
+    def test_no_skeleton_skips_the_checks(self):
+        # Only the expansion hands over a table; every other skeleton, and
+        # raw cells, are checked where the complex is built.
+        cells = [np.array([[0], [0]]), np.array([[0, 0]])]
+        table = (np.empty((2, 0), np.intp), np.array([[0, 1]]))
+        with pytest.raises(TypeError):
+            make_filtered_complex(cells, [0.0, 0.0, 1.0], dim_cap=1, facets=table)
+        for given in (cells, nerve.Skeleton(cells)):
+            with pytest.raises(InputValidationError, match=r"^duplicate simplex \(0,\)$"):
+                make_filtered_complex(given, [0.0, 0.0, 1.0], dim_cap=1)
+        with pytest.raises(TypeError):
+            nerve.Skeleton(cells, ())
+        skeleton = expand_skeleton(_faces([frozenset({0, 1, 2}), frozenset({2, 3})]), 1)
+        assert dataclasses.replace(skeleton).facets is None
+        assert len(skeleton.facets) == len(skeleton.cells) == 3
+        for a in (*skeleton.cells, *skeleton.facets):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+        empty = expand_skeleton(nerve.Faces(()), 1)
+        assert [a.shape for a in (*empty.cells, *empty.facets)] == [(0, 1), (0, 0)]
+        assert not any(a.flags.writeable for a in (*empty.cells, *empty.facets))
 
     def test_wide_rows_match_combinations(self):
         # Labels whose 5-subsets have lexicographic ranks past 2**63.
@@ -542,12 +573,14 @@ class TestFacetTable:
         assert _tables_equal(nerve._facet_table(cells), _combinations_facets(cells))
 
     @settings(max_examples=200, deadline=None)
-    @given(faces=face_families(), d=st.integers(0, 4))
-    def test_handed_and_derived_positions_match_combinations(self, faces, d):
-        skeleton = expand_skeleton(_faces(faces), d)
-        handed = nerve._facet_table(skeleton.cells, positions=skeleton.positions)
-        assert _tables_equal(handed, _combinations_facets(skeleton.cells))
-        assert _tables_equal(nerve._facet_table(skeleton.cells), handed)
+    @given(faces=face_families(), d=st.integers(0, 4), chunk=st.sampled_from([1, 5, 1 << 16]))
+    def test_expansion_and_derived_tables_match_combinations(self, faces, d, chunk):
+        # The expansion's table, made from the rows it extended chunk by
+        # chunk, equals the one derived by searches from the cells alone.
+        with mock.patch.object(nerve, "_CHUNK_CELLS", chunk):
+            skeleton = expand_skeleton(_faces(faces), d)
+        assert _tables_equal(skeleton.facets, _combinations_facets(skeleton.cells))
+        assert _tables_equal(nerve._facet_table(skeleton.cells), skeleton.facets)
 
     def test_labels_near_2_to_the_62(self):
         # Keys do not grow with the labels: no table or key is sized by them.
@@ -573,12 +606,6 @@ class TestFacetTable:
         cells = [np.array(c, dtype=np.int64).reshape(-1, p + 1) for p, c in enumerate(cells)]
         with pytest.raises(InputValidationError, match=message):
             nerve._facet_table(cells)
-        # Handed positions, where every vertex has one, pass the same checks.
-        vertices = cells[0][:, 0]
-        if all(np.isin(c, vertices).all() for c in cells):
-            positions = [np.searchsorted(vertices, c) for c in cells]
-            with pytest.raises(InputValidationError, match=message):
-                nerve._facet_table(cells, positions=positions)
 
     def test_unordered_cells_rejected(self):
         # make_filtered_complex takes each cardinality's rows in
@@ -732,9 +759,9 @@ class TestSparseNervePipeline:
         assert K_high.simplices == K.simplices
         np.testing.assert_array_equal(K_high.values, K.values)
         assert points_high == points
-        # Edges take no search; a k-row above them takes k - 2 for its prefix
-        # and k - 1 for its other facets.
-        assert calls_high == calls == 0 + 0 + 3 + 5
+        # Edges take no search; a k-row above them takes k - 1 for its
+        # other facets, and none for its prefix, which the expansion hands over.
+        assert calls_high == calls == 0 + 0 + 2 + 3
 
     def test_persistence_stops_at_the_top_dimension(self):
         # Past the tetrahedron, d adds no dimension to scan: the complex's
