@@ -42,7 +42,6 @@ from .persistence import (
 from .sparsify import restriction_times
 from .truncation import (
     farthest_point_sampling,
-    truncate,
     truncation_result,
     truncation_tree,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "skeleton_size",
     "slope_points",
     "sparse_dowker_nerve",
-    "truncate",
     "truncation_result",
     "truncation_tree",
 ]

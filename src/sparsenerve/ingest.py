@@ -49,10 +49,6 @@ class PointCloud:
     def __len__(self):
         return self.points.shape[0]
 
-    @property
-    def dimension(self) -> int:
-        return self.points.shape[1]
-
 
 @dataclass(frozen=True)
 class WeightedGraph:

@@ -273,9 +273,6 @@ class FilteredComplex:
         rows = [iter(list(map(tuple, c.tolist()))) for c in self.cells]
         return tuple(next(rows[p]) for p in self.dims.tolist())
 
-    def value_of(self) -> dict:
-        return dict(zip(self.simplices, self.values.tolist()))
-
     def check(self):
         """Raise unless the cells, dims and values build this complex again."""
         FilteredComplex(self.cells, self.dims, self.values, self.dim_cap)
@@ -383,39 +380,38 @@ def maximal_faces(gamma, R: RestrictionTimes, S: frozenset) -> Faces:
     a slope point — Gamma(l', w) strictly below R(l').  Exact duplicates and
     faces contained in another emitted face are dropped.
 
-    The face of (l, w) depends on l only through R(l), so each (R(l), w)
-    is emitted once, at its first landmark: a landmark that shares its
-    time with earlier ones, as the never-restricted ones share R = inf,
-    emits only the witnesses they did not.  Each face is emitted as its
-    membership row packed into bytes, one block of witnesses per landmark.
-    Exact duplicates go in one ``np.unique`` over those rows.  For
-    containment, each vertex gets a bitset over the distinct faces: the AND
-    of a face's vertex bitsets marks the faces that contain it, and the
-    face is kept iff that is itself alone.  Faces come back largest first,
-    ties in order of first emission.
+    The face of (l, w) depends on l only through R(l), so faces are
+    emitted in one block per distinct time t, for the witnesses within t
+    of one of t's landmarks; the never-restricted ones, at R = inf, make
+    one block.  Blocks go by descending time, witnesses ascending, each
+    face its membership row packed into bytes; one ``np.unique`` drops
+    exact duplicates.  For containment, each vertex gets a bitset over the
+    distinct faces: the AND of a face's vertex bitsets marks the faces
+    that contain it, and the face is kept iff that is itself alone.  Faces
+    come back largest first, ties in order of first emission.  Raises
+    ``InputValidationError`` unless R and ``S`` index Gamma's rows.
     """
     g = extended_values(gamma)
     times = R.times
     n = g.shape[0]
+    if times.shape != (n,):
+        raise InputValidationError(f"{len(times)} restriction times for {n} landmarks")
+    slope = np.fromiter(S, np.int64)
+    if slope.size and (slope.min() < 0 or slope.max() >= n):
+        raise InputValidationError(f"a slope point is outside range({n})")
     s_mask = np.zeros(n, dtype=bool)
-    s_mask[list(S)] = True
+    s_mask[slope] = True
     ok = np.isfinite(g) & (~s_mask[:, None] | (g < times[:, None]))
     # (w, l'): Gamma where l' may join a face at w, NaN (never <=) elsewhere.
     joins = np.where(ok, g, np.nan).T.copy()
-    _, level, count = np.unique(times, return_inverse=True, return_counts=True)
-    # A time that several landmarks share -> its witnesses not emitted yet.
-    fresh = {}
-
-    rows = []
-    for l in range(n):
-        rl = times[l]
-        ws = np.flatnonzero(g[l] <= rl)
-        if count[level[l]] > 1:
-            left = fresh.setdefault(level[l], np.ones(g.shape[1], dtype=bool))
-            ws = ws[left[ws]]
-            left[ws] = False
-        rows.append(np.packbits((joins[ws] <= rl) & (times >= rl), axis=1))
-    rows = np.concatenate(rows)
+    by_time = np.argsort(times)
+    level, start = np.unique(times[by_time], return_index=True)
+    # (t, w): w is within t of one of t's landmarks.
+    near = np.logical_or.reduceat((g <= times[:, None])[by_time], start)
+    rows = np.concatenate([
+        np.packbits((joins[ws] <= t) & (times >= t), axis=1)
+        for t, ws in zip(level[::-1], near[::-1])
+    ])
     rows = rows[rows.any(axis=1)]
     if not rows.size:
         return Faces(())
@@ -460,6 +456,7 @@ def filtration_values(lam, cells) -> np.ndarray:
     takes the running maximum of their vertices' Lambda rows in one
     (chunk, |W|) buffer, then the minimum over witnesses.  max and min are
     exact, so the values do not depend on the chunking or the vertex order.
+    Raises ``InputValidationError`` where a vertex is not a row of Lambda.
 
     When the rows gather Lambda's rows more than ``_RANK_GATHERS`` times
     per landmark, the loop runs on rank codes: one ``np.unique`` maps each
@@ -479,6 +476,8 @@ def filtration_values(lam, cells) -> np.ndarray:
     chunk = max(1, _CHUNK_CELLS * 8 // (codes.itemsize * max(1, lam.shape[1])))
     out = [np.empty(0, codes.dtype)]
     for verts in cells:
+        if verts.size and (verts.min() < 0 or verts.max() >= lam.shape[0]):
+            raise InputValidationError(f"a vertex is outside range({lam.shape[0]})")
         low = np.empty(len(verts), codes.dtype)
         acc = np.empty((min(chunk, len(verts)), lam.shape[1]), codes.dtype)
         for start in range(0, len(verts), chunk):

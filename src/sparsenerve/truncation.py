@@ -157,12 +157,3 @@ def truncation_result(
         fps=fps,
         tree=tree,
     )
-
-
-def truncate(
-    dd: DowkerDissimilarity,
-    alpha: TranslationFunction,
-    initial_point: int = 0,
-) -> DowkerDissimilarity:
-    """Truncated dissimilarity Gamma with Lambda <= Gamma <= alpha(Lambda)."""
-    return truncation_result(dd, alpha, initial_point).gamma

@@ -26,6 +26,11 @@ def facet_lists(facets, dims):
     return cols
 
 
+def values_of(K):
+    """Simplex -> filtration value of a complex, as a dict of vertex tuples."""
+    return dict(zip(K.simplices, K.values.tolist()))
+
+
 def random_dissimilarity(rng, max_side=7):
     """Small random extended-value matrix for oracle comparisons."""
     nl = int(rng.integers(2, max_side + 1))

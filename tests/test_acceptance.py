@@ -28,9 +28,9 @@ from sparsenerve.nerve import (
     sparse_dowker_nerve,
 )
 from sparsenerve.persistence import compute_persistence, diagram_interleaving_check
-from sparsenerve.truncation import truncate
+from sparsenerve.truncation import truncation_result
 
-from conftest import random_dissimilarity
+from conftest import random_dissimilarity, values_of
 
 GRAPH_PARAMS = {
     "cycle": dict(nodes=100),
@@ -142,17 +142,17 @@ class TestAcceptance:
         ok = True
         for _ in range(100):
             lam = random_dissimilarity(rng)
-            gamma = truncate(DowkerDissimilarity(lam), MULT3).values
+            gamma = truncation_result(DowkerDissimilarity(lam), MULT3).gamma.values
             ok = ok and np.all(lam <= gamma) and np.all(gamma <= MULT3(lam))
             ok = ok and np.array_equal(
-                truncate(DowkerDissimilarity(lam), ID).values, lam
+                truncation_result(DowkerDissimilarity(lam), ID).gamma.values, lam
             )
         for kind in GRAPH_PARAMS:
             dd = graph_metric(kind)
-            gamma = truncate(dd, MULT3).values
+            gamma = truncation_result(dd, MULT3).gamma.values
             ok = ok and np.all(dd.values <= gamma)
             ok = ok and np.all(gamma <= MULT3(dd.values))
-            ok = ok and np.array_equal(truncate(dd, ID).values, dd.values)
+            ok = ok and np.array_equal(truncation_result(dd, ID).gamma.values, dd.values)
         report(6, ok, "Lambda <= Gamma <= alpha(Lambda) on 100 random + 7 graphs; Gamma = Lambda at id")
 
     def test_criterion_07_ambient_sandwich(self):
@@ -165,8 +165,8 @@ class TestAcceptance:
             dm = distance_matrix(X).values
             intrinsic = filtration_values(dm, [np.array([s]) for s in K.simplices])
             good = np.all(K.values <= intrinsic + 1e-9)
-            full = full_ambient_cech(X, 1).value_of()
-            for s, v in K.value_of().items():
+            full = values_of(full_ambient_cech(X, 1))
+            for s, v in values_of(K).items():
                 good = good and s in full and abs(full[s] - v) <= 1e-9
             if not good:
                 failures += 1

@@ -10,7 +10,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sparsenerve import nerve
-from sparsenerve.ingest import PointCloud, distance_matrix, sample_clifford_torus
+from sparsenerve.ingest import (
+    PointCloud,
+    distance_matrix,
+    generate_graph,
+    sample_clifford_torus,
+    shortest_path_matrix,
+)
 from sparsenerve.miniball import miniball
 from sparsenerve.model import (
     INF,
@@ -36,9 +42,11 @@ from sparsenerve.nerve import (
 )
 from sparsenerve.persistence import compute_persistence, diagram_interleaving_check
 
-from conftest import facet_lists, random_dissimilarity
+from conftest import facet_lists, random_dissimilarity, values_of
 
 LINE3 = np.array([[0.0, 1, 3], [1, 0, 2], [3, 2, 0]])
+# LINE3's restriction times at alpha = id.
+LINE3_TIMES = RestrictionTimes(times=np.array([INF, 3.0, 2.0]), tree=ParentFunction(parent=[0, 0, 1]))
 
 
 class TestSlopePoints:
@@ -114,6 +122,40 @@ class TestMaximalFaces:
         for f in faces:
             assert not any(f < g for g in faces if g is not f)
 
+    def test_ties_follow_descending_time(self):
+        # Landmark 0 (R = 1) emits {0, 1} at witness 0 and the never-restricted
+        # landmarks 1 and 2 emit {1, 2} at witness 1: of the two equal-size
+        # faces, the later landmark's comes first, as its time is larger.
+        R = RestrictionTimes(times=np.array([1.0, INF, INF]), tree=ParentFunction(parent=[1, 1, 1]))
+        gamma = np.array([[0.0, INF], [1.0, 0.0], [INF, 0.0]])
+        faces = _face_sets(maximal_faces(gamma, R, frozenset()))
+        assert faces == [frozenset({1, 2}), frozenset({0, 1})]
+        assert faces == _quadratic_maximal_faces(gamma, R.times, frozenset())
+
+    def test_one_emission_per_restriction_time(self):
+        # 11 distinct times among 100 landmarks: one packed block per time,
+        # not one per landmark.
+        result = sparse_dowker_nerve(
+            shortest_path_matrix(generate_graph("cycle", nodes=100)),
+            TranslationFunction.parse("mult:3"), 1,
+        )
+        R = result.restriction
+        S = slope_points(result.phi, R)
+        with mock.patch.object(nerve.np, "packbits", wraps=np.packbits) as packs:
+            faces = maximal_faces(result.gamma.values, R, S)
+        assert len(np.unique(R.times)) == packs.call_count == 11
+        assert _face_sets(faces) == _quadratic_maximal_faces(result.gamma.values, R.times, S)
+
+    @pytest.mark.parametrize("S", [frozenset({-1}), frozenset({7})])
+    def test_slope_point_outside_the_landmarks(self, S):
+        with pytest.raises(InputValidationError, match=r"outside range\(3\)"):
+            maximal_faces(LINE3, LINE3_TIMES, S)
+
+    def test_times_of_another_landmark_count(self):
+        R = RestrictionTimes(times=np.array([INF]), tree=ParentFunction(parent=[0]))
+        with pytest.raises(InputValidationError, match="1 restriction times for 3 landmarks"):
+            maximal_faces(LINE3, R, frozenset())
+
 
 def _face_sets(faces):
     """The rows of a ``Faces`` record as frozensets, in order, as the oracle lists them."""
@@ -131,7 +173,9 @@ def _faces(sets):
 
 
 def _quadratic_maximal_faces(gamma, times, S):
-    """Oracle: one emission per (l, w), then a pairwise containment filter.
+    """Oracle: one emission per (distinct time t, witness w within t of one
+    of t's landmarks), times descending, witnesses ascending; then a
+    pairwise containment filter.
 
     Returns the faces largest first, ties in order of first emission.
     """
@@ -143,10 +187,9 @@ def _quadratic_maximal_faces(gamma, times, S):
     finite = np.isfinite(g)
     seen = set()
     faces = []
-    for l in range(n):
-        rl = times[l]
-        member = (times >= rl)[:, None] & (g <= rl) & finite & slope_ok
-        for w in np.nonzero(g[l] <= rl)[0]:
+    for t in sorted(set(times.tolist()), reverse=True):
+        member = (times >= t)[:, None] & (g <= t) & finite & slope_ok
+        for w in np.nonzero((g[times == t] <= t).any(axis=0))[0]:
             col = member[:, w]
             key = col.tobytes()
             if key in seen or not col.any():
@@ -682,7 +725,7 @@ class TestSparseNervePipeline:
         # restriction prunes (0, 2): point 2 only ever pairs with its parent
         assert result.restriction.times.tolist() == [INF, 3.0, 2.0]
         assert result.phi.parent.tolist() == [0, 0, 1]
-        values = result.complex.value_of()
+        values = values_of(result.complex)
         assert values == {
             (0,): 0.0,
             (1,): 0.0,
@@ -715,8 +758,8 @@ class TestSparseNervePipeline:
             full = full_dowker_nerve(lam, 1)
             sparse.check()
             # with alpha = id the sparse skeleton is a subcomplex of the full
-            fv = full.value_of()
-            for s, v in sparse.value_of().items():
+            fv = values_of(full)
+            for s, v in values_of(sparse).items():
                 assert s in fv and fv[s] == v
 
     def test_values_recomputed_from_lambda_are_idempotent(self, rng):
@@ -791,7 +834,7 @@ class TestAmbientCech:
         K = ambient_cech_nerve(
             np.array([[0.0, 0.0], [2.0, 0.0]]), TranslationFunction.identity(), 1
         )
-        assert K.value_of()[(0, 1)] == pytest.approx(1.0)
+        assert values_of(K)[(0, 1)] == pytest.approx(1.0)
 
     def test_cloud_and_its_array_give_the_same_complex(self):
         cloud = sample_clifford_torus(20, 9)
@@ -805,7 +848,7 @@ class TestAmbientCech:
     def test_values_are_miniball_radii(self, rng):
         X = rng.normal(size=(6, 2))
         K = ambient_cech_nerve(X, TranslationFunction.identity(), 1)
-        for s, v in K.value_of().items():
+        for s, v in values_of(K).items():
             assert v == pytest.approx(miniball(X[list(s)])[1], abs=1e-9)
 
     def test_sandwich_bounds(self, rng):
@@ -822,8 +865,8 @@ class TestAmbientCech:
             dm = distance_matrix(X).values
             intrinsic = filtration_values(dm, [np.array([s]) for s in K.simplices])
             assert np.all(K.values <= intrinsic + 1e-9)
-            full = full_ambient_cech(X, 1).value_of()
-            for s, v in K.value_of().items():
+            full = values_of(full_ambient_cech(X, 1))
+            for s, v in values_of(K).items():
                 assert s in full
                 assert full[s] == pytest.approx(v, abs=1e-9)
 
@@ -981,3 +1024,10 @@ class TestFiltrationValues:
         expected = _grouped_max_min(lam, simplices)
         with mock.patch.object(nerve, "_RANK_GATHERS", 0):
             assert filtration_values(lam, cells).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "cells", [[np.array([[-1]]), np.array([[-1, 0]])], [np.array([[5]])]]
+    )
+    def test_vertex_outside_the_landmarks(self, cells):
+        with pytest.raises(InputValidationError, match=r"outside range\(3\)"):
+            filtration_values(LINE3, cells)

@@ -14,7 +14,6 @@ from sparsenerve.model import (
 )
 from sparsenerve.truncation import (
     farthest_point_sampling,
-    truncate,
     truncation_result,
     truncation_tree,
 )
@@ -171,31 +170,31 @@ class TestTruncationTree:
 
 class TestTruncate:
     def test_three_point_line_mult3(self):
-        gamma = truncate(
+        gamma = truncation_result(
             DowkerDissimilarity(LINE3), TranslationFunction.multiplicative(3)
-        )
+        ).gamma
         assert gamma.values.tolist() == [[0, 1, 3], [3, 0, 6], [9, 6, 0]]
 
     def test_identity_is_exact(self, rng):
         for _ in range(20):
             lam = random_dissimilarity(rng)
-            gamma = truncate(
+            gamma = truncation_result(
                 DowkerDissimilarity(lam), TranslationFunction.identity()
-            )
+            ).gamma
             np.testing.assert_array_equal(gamma.values, lam)
 
     def test_single_point(self):
-        gamma = truncate(
+        gamma = truncation_result(
             DowkerDissimilarity([[0.0, 1.0, 2.0]]),
             TranslationFunction.multiplicative(2),
-        )
+        ).gamma
         assert gamma.values.tolist() == [[0.0, 2.0, 4.0]]
 
     def test_sandwich_bound(self, rng):
         alpha = TranslationFunction.multiplicative(3)
         for _ in range(30):
             lam = random_dissimilarity(rng)
-            gamma = truncate(DowkerDissimilarity(lam), alpha).values
+            gamma = truncation_result(DowkerDissimilarity(lam), alpha).gamma.values
             assert np.all(lam <= gamma)
             assert np.all(gamma <= alpha(lam))
 
@@ -218,8 +217,8 @@ class TestTruncate:
     def test_determinism(self, rng):
         lam = random_dissimilarity(rng)
         alpha = TranslationFunction.multiplicative(2)
-        a = truncate(DowkerDissimilarity(lam), alpha).values
-        b = truncate(DowkerDissimilarity(lam), alpha).values
+        a = truncation_result(DowkerDissimilarity(lam), alpha).gamma.values
+        b = truncation_result(DowkerDissimilarity(lam), alpha).gamma.values
         np.testing.assert_array_equal(a, b)
 
 
