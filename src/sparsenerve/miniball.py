@@ -13,11 +13,10 @@ sigma's.  If no facet ball holds its opposite vertex, T is sigma and
 sigma's own circumball is its ball.  Circumcenters are built by
 Gram-Schmidt on the edge vectors, for a batch of sets at once.
 
-``enclosing_radii`` is the search over every vertex subset's circumball
-that needs no facets; ``facet_balls`` falls back to it for the rows whose
-own circumball is unusable.  ``miniball`` is Welzl's algorithm (Welzl
-1991) on one point set; it is the independent oracle behind
-``full_ambient_cech`` and the tests.
+``miniball`` is Welzl's algorithm (Welzl 1991) on one point set; it is
+the independent oracle behind ``full_ambient_cech`` and the tests, and
+``facet_balls`` falls back to it, one row at a time, for the rows whose
+own circumball is unusable.
 
 The batch kernels work coordinate-major: points are the ``(D, n)``
 transpose of the cloud, centers ``(D, m)``, and a batch of sets of k
@@ -34,7 +33,6 @@ whole-run operations too.  A batch holds about ``CHUNK`` coordinates
 from __future__ import annotations
 
 import random
-from itertools import combinations
 
 import numpy as np
 
@@ -42,8 +40,8 @@ from .model import InputValidationError
 
 TOLERANCE = 1e-9
 
-# Coordinates (rows x k x D) per batch in ``enclosing_radii`` and
-# ``facet_balls``: 128 KiB per float temporary, 1,024 tetrahedra in R^4.
+# Coordinates (rows x k x D) per batch in ``facet_balls``: 128 KiB per
+# float temporary, 1,024 tetrahedra in R^4.
 # Whole ambient_torus operations measured this faster than 2^15, whose
 # 256 KiB temporaries came back from the allocator as fresh pages (about
 # 300 page faults per operation), than 2^13, and than one batch per
@@ -106,52 +104,6 @@ def miniball(points, tol: float = TOLERANCE):
     return center, max(radius, 0.0)
 
 
-def enclosing_radii(X, simplices):
-    """Smallest enclosing ball of every row of ``simplices``, from no facets.
-
-    ``X`` is an ``(n, D)`` array of finite points and ``simplices`` an
-    ``(m, k)`` integer array of vertex indices, all sets of the same
-    cardinality k.  For every vertex subset T of size at most
-    min(k, D + 1), the circumball of T with its center in the affine hull
-    of T is built for a batch of sets at a time; it counts if every vertex
-    lies within ``r + TOLERANCE * (1 + r)``, the rule ``miniball`` uses.
-    Returns the radii, the smallest r that counts (inf if none does), and
-    the ``(m, D)`` centers of those balls.  It builds up to 2^k - 1 balls
-    per set, so ``facet_balls`` runs this search (``_search``) only for
-    the rows its own rule cannot settle.
-    """
-    XT = np.ascontiguousarray(np.asarray(X, dtype=float).T)
-    radii, centers = _search(XT, np.asarray(simplices, dtype=np.intp))
-    return radii, np.ascontiguousarray(centers.T)
-
-
-def _search(XT, S):
-    """``enclosing_radii`` on ``(D, n)`` points; returns ``(D, m)`` centers."""
-    D, (m, k) = XT.shape[0], S.shape
-    subsets = [
-        T for size in range(1, min(k, D + 1) + 1)
-        for T in combinations(range(k), size)
-    ]
-    radii = np.empty(m)
-    centers = np.empty((D, m))
-    step = max(1, CHUNK // max(1, k * D))
-    # Affinely dependent subsets may give non-finite or huge centers; the
-    # containment test judges their balls like any other, without warnings.
-    with np.errstate(all="ignore"):
-        for start in range(0, m, step):
-            P = np.take(XT, S[start : start + step].T, axis=1)  # (D, k, rows)
-            best = np.full(P.shape[2], np.inf)
-            best_center = np.full(P.shape[::2], np.nan)
-            for T in subsets:
-                center, radius = _circumballs(P[:, T])
-                better = _holds(P, center, radius).all(axis=0) & (radius < best)
-                best = np.where(better, radius, best)
-                best_center[:, better] = center[:, better]
-            radii[start : start + step] = best
-            centers[:, start : start + step] = best_center
-    return radii, centers
-
-
 def facet_balls(XT, simplices, facets, facet_radii, facet_centers):
     """Smallest enclosing balls of the rows of ``simplices``, from their facets' balls.
 
@@ -164,7 +116,7 @@ def facet_balls(XT, simplices, facets, facet_radii, facet_centers):
     vertex, by the rule of ``miniball``; if none does, it is the row's own
     circumball, checked to hold every vertex.  A row whose circumball is
     non-finite or fails that check, or that has more than D + 1 vertices,
-    goes to the search of ``enclosing_radii``.  Both passes, the facet test
+    goes to ``miniball`` on its own.  Both batch passes, the facet test
     over all rows and then the circumballs of the rows no facet ball
     settles, work in batches of about ``CHUNK`` coordinates.  Returns the
     radii and the ``(D, m)`` centers, for the next cardinality.
@@ -196,8 +148,8 @@ def facet_balls(XT, simplices, facets, facet_radii, facet_centers):
             # ball should have held them, and their circumball is arbitrary.
             bad = ~(np.isfinite(c).all(axis=0) & _holds(Q, c, rr).all(axis=0))
             bad |= k > D + 1
-            if bad.any():
-                rr[bad], c[:, bad] = _search(XT, S[rows[bad]])
+            for i in np.flatnonzero(bad):
+                c[:, i], rr[i] = miniball(XT[:, S[rows[i]]].T)
             radii[rows], centers[:, rows] = rr, c
     return radii, centers
 

@@ -13,8 +13,10 @@ import numpy as np
 
 INF = np.inf
 
-# Number of sample points used when checking a translation function.
-VALIDATION_SAMPLES = 1024
+# A polynomial's value g(t), computed in floating point, counts as negative
+# only below -SLACK times sum |g_i| t^i: far above the rounding error of
+# Horner's rule, so an alpha that touches the diagonal is not rejected.
+SLACK = 1e-12
 
 
 class InputValidationError(ValueError):
@@ -94,41 +96,78 @@ class DowkerDissimilarity:
         object.__setattr__(dd, "metric", False)
         return dd
 
-    @property
-    def max_finite(self) -> float:
-        finite = self.values[np.isfinite(self.values)]
-        return float(finite.max()) if finite.size else 0.0
+
+def _negative_at(g: np.ndarray):
+    """A finite t >= 0 where the polynomial g is negative, or None if g >= 0 on [0, inf).
+
+    g has ascending coefficients, at least two, the top one nonzero.  Its
+    least value on [0, inf) is at 0 or at a critical point, the real part
+    of a root of g' (evaluating at a spurious one is harmless), unless its
+    top coefficient is negative: then it falls without bound past its last
+    real root, so past the largest real part of its roots.  A handful of
+    points, so Horner's rule runs on Python floats, where overflow gives
+    inf or NaN and a NaN value counts as no dip.
+    """
+    critical = np.roots(g[:0:-1] * np.arange(len(g) - 1, 0, -1)).real.tolist()
+    for t in [0.0, *sorted(t for t in critical if t > 0)]:
+        value = size = 0.0
+        for c in g[::-1].tolist():
+            value, size = value * t + c, size * t + abs(c)
+        if value < -SLACK * size:
+            return t
+    if g[-1] < 0:
+        return max(0.0, float(np.roots(g[::-1]).real.max()))
+    return None
 
 
 class TranslationFunction:
     """A non-decreasing map alpha on [0, inf] with alpha(t) >= t.
 
-    Two kinds: ``polynomial`` (ascending coefficients c0, c1, ...) and
-    ``tabulated`` (piecewise-linear through given knots, extended additively
-    beyond the last knot).  The identity t, the additive t + a (a >= 0) and
-    the multiplicative c * t (c >= 1) are the polynomials (0, 1), (a, 1) and
-    (0, c).  A degree-1 polynomial c0 + c1 * t is checked exactly: c0 >= 0
-    and c1 >= 1.  Other polynomials and tables are checked by dense
-    sampling; call :meth:`validate_on` with the data scale before use in a
-    pipeline.
+    Two kinds: ``polynomial`` (ascending coefficients c0, c1, ..., trailing
+    zeros trimmed) and ``tabulated`` (piecewise-linear through given knots,
+    constant below the first and extended additively beyond the last).
+    The identity t, the additive t + a (a >= 0) and the multiplicative
+    c * t (c >= 1) are the polynomials (0, 1), (a, 1) and (0, c).
+
+    The constructor checks alpha exactly on [0, inf), once; nothing
+    downstream checks it again.  A degree-1 polynomial c0 + c1 * t needs
+    c0 >= 0 and c1 >= 1.  Any other polynomial needs alpha(t) - t and
+    alpha' to be >= 0 at 0 and at their critical points, and neither to
+    have a negative top coefficient.  A table is linear between knots, so it is checked
+    at 0 and at every knot above 0.
     """
 
     def __init__(self, kind: str, params):
         self.kind = kind
         if kind == "polynomial":
-            self.params = tuple(float(c) for c in params)
-            if not self.params:
+            c = [float(x) for x in params]
+            if not c:
                 raise InputValidationError("polynomial needs at least one coefficient")
-            if not np.isfinite(self.params).all():
+            if not np.isfinite(c).all():
                 raise InputValidationError(
-                    f"polynomial coefficients must be finite, got {self.params}"
+                    f"polynomial coefficients must be finite, got {tuple(c)}"
                 )
-            if len(self.params) != 2:
-                self.validate_on(float(VALIDATION_SAMPLES))
-            elif not (self.params[0] >= 0 and self.params[1] >= 1):
-                raise InputValidationError(
-                    f"c0 + c1 * t needs c0 >= 0 and c1 >= 1, got {self.params}"
-                )
+            while len(c) > 1 and c[-1] == 0:
+                c.pop()
+            self.params = tuple(c)
+            if len(c) == 2:
+                if not (c[0] >= 0 and c[1] >= 1):
+                    raise InputValidationError(
+                        f"c0 + c1 * t needs c0 >= 0 and c1 >= 1, got {self.params}"
+                    )
+                return
+            c = np.array(c)
+            g = np.append(c, 0.0)[: max(c.size, 2)]  # alpha(t) - t
+            g[1] -= 1.0
+            with np.errstate(all="ignore"):
+                slope = c[1:] * np.arange(1, c.size)  # alpha'
+                try:  # an overflowing companion matrix makes np.roots raise
+                    dip = _negative_at(g)
+                    fall = None if dip is not None else _negative_at(slope)
+                except np.linalg.LinAlgError:
+                    raise InputValidationError(
+                        f"cannot locate the critical points of the polynomial {self.params}"
+                    ) from None
         elif kind == "tabulated":
             ts, vs = (np.asarray(x, dtype=float) for x in params)
             if ts.ndim != 1 or ts.shape != vs.shape or ts.size < 2:
@@ -138,9 +177,20 @@ class TranslationFunction:
             if (np.diff(ts) <= 0).any():
                 raise InputValidationError("tabulated grid must be strictly increasing")
             self.params = (ts, vs)
-            self.validate_on(float(ts[-1]))
+            at = np.append(0.0, ts[ts > 0])
+            vals = np.append(self(0.0), vs[ts > 0])
+            dip = at[vals < at]
+            fall = at[:-1][np.diff(vals) < 0]
+            dip = float(dip[0]) if dip.size else None
+            fall = float(fall[0]) if fall.size else None
         else:
             raise InputValidationError(f"unknown translation kind {kind!r}")
+        if dip is not None:
+            raise InputValidationError(
+                f"translation function dips below the diagonal near t={dip:.6g}"
+            )
+        if fall is not None:
+            raise InputValidationError(f"translation function decreases near t={fall:.6g}")
 
     @classmethod
     def identity(cls):
@@ -201,24 +251,6 @@ class TranslationFunction:
             out = np.where(a > ts[-1], vs[-1] + (a - ts[-1]), np.interp(a, ts, vs))
         out[np.isinf(a)] = INF
         return float(out) if scalar else out
-
-    @np.errstate(invalid="ignore")  # inf - inf is NaN, which no step below -1e-12 matches
-    def validate_on(self, upper: float):
-        """Sample-check monotonicity and alpha(t) >= t on [0, upper] plus infinity."""
-        grid = np.linspace(0.0, max(upper, 1e-9), VALIDATION_SAMPLES)
-        vals = self(grid)
-        if (vals < grid - 1e-12).any():
-            t = grid[np.nonzero(vals < grid - 1e-12)[0][0]]
-            raise InputValidationError(
-                f"translation function dips below the diagonal near t={t:.6g}"
-            )
-        if (np.diff(vals) < -1e-12).any():
-            t = grid[np.nonzero(np.diff(vals) < -1e-12)[0][0]]
-            raise InputValidationError(
-                f"translation function decreases near t={t:.6g}"
-            )
-        if self(INF) != INF:
-            raise InputValidationError("translation function must fix infinity")
 
     def preimage(self, x: float, tol: float = 1e-12) -> float:
         """Smallest t with alpha(t) >= x (inf maps to inf)."""

@@ -133,14 +133,14 @@ def truncation_result(
     each row, already minimized against its children's finished rows, is
     maximized back up to Lambda and folded into its parent's row, so each
     row dominates its whole subtree wherever alpha(Lambda) allows.
-    Validates alpha on the data scale and alpha(Lambda) once; farthest-point
-    sampling computes only the cover entries of (Lambda, alpha(Lambda)) it
-    needs.  Gamma, made of their entries, is not scanned again.
+    Alpha was checked exactly when it was made; alpha(Lambda) is scanned
+    once, as a safety net.  Farthest-point sampling computes only the
+    cover entries of (Lambda, alpha(Lambda)) it needs.  Gamma, made of
+    their entries, is not scanned again.
     """
     if not isinstance(dd, DowkerDissimilarity):
         dd = DowkerDissimilarity(dd)
     lam = dd.values
-    alpha.validate_on(2.0 * dd.max_finite)
     alpha_lam = DowkerDissimilarity(alpha(lam))
     fps = farthest_point_sampling(dd, alpha_lam, initial_point)
     tree = ParentFunction(parent=fps.parent)

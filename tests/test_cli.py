@@ -279,12 +279,23 @@ class TestPh:
         assert main(argv) == 1
         assert "error: seed must be >= 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("spec", ["mult:abc", "add:inf", "mult:nan", "poly:0.3,inf"])
-    def test_bad_interleaving_exit_1(self, square_file, capsys, spec):
-        rc = main(["ph", "--input", str(square_file), "--interleaving", spec])
+    @pytest.mark.parametrize(
+        "spec, side",
+        [pytest.param(s, 1, id=s) for s in ("mult:abc", "add:inf", "mult:nan", "poly:0.3,inf")]
+        # The first decreases on (0, 0.24), the second dips below the
+        # diagonal on (0, 1): rejected whatever the data's scale.
+        + [
+            pytest.param(s, 1000, id=f"{s}-side1000")
+            for s in ("poly:0.977,-0.355,0.748", "poly:0,0.64,0,0,0.362")
+        ],
+    )
+    def test_bad_interleaving_exit_1(self, tmp_path, capsys, spec, side):
+        path = tmp_path / "square.txt"
+        path.write_text(f"0 0\n{side} 0\n{side} {side}\n0 {side}\n")
+        rc = main(["ph", "--input", str(path), "--interleaving", spec])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "fix infinity" not in err
+        assert err.startswith("error:") and err.count("error:") == 1
 
     @pytest.mark.parametrize("var", ["SPARSENERVE_DIM", "SPARSENERVE_MAX_SIMPLICES"])
     def test_malformed_env_int_exit_1(self, square_file, capsys, monkeypatch, var):

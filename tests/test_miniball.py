@@ -1,13 +1,12 @@
 import importlib
 import sys
-from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sparsenerve.miniball import TOLERANCE, enclosing_radii, miniball
+from sparsenerve.miniball import TOLERANCE, facet_balls, miniball
 from sparsenerve.model import InputValidationError
 from sparsenerve.nerve import _combinations, _facet_table, ambient_radii
 
@@ -42,31 +41,6 @@ def oracle_circumballs(Q):
     return Q[:, 0] + c, np.linalg.norm(c, axis=1)
 
 
-def oracle_enclosing_radii(X, simplices):
-    X = np.asarray(X, dtype=float)
-    S = np.asarray(simplices, dtype=np.intp)
-    k = S.shape[1]
-    subsets = [
-        T for size in range(1, min(k, X.shape[1] + 1) + 1)
-        for T in combinations(range(k), size)
-    ]
-    radii = np.empty(S.shape[0])
-    centers = np.empty((S.shape[0], X.shape[1]))
-    with np.errstate(all="ignore"):
-        for start in range(0, S.shape[0], ORACLE_CHUNK):
-            P = X[S[start : start + ORACLE_CHUNK]]
-            best = np.full(P.shape[0], np.inf)
-            best_center = np.full(P.shape[::2], np.nan)
-            for T in subsets:
-                center, radius = oracle_circumballs(P[:, T])
-                better = oracle_holds(P, center, radius).all(axis=1) & (radius < best)
-                best = np.where(better, radius, best)
-                best_center[better] = center[better]
-            radii[start : start + ORACLE_CHUNK] = best
-            centers[start : start + ORACLE_CHUNK] = best_center
-    return radii, centers
-
-
 def oracle_facet_balls(X, S, facets, facet_radii, facet_centers):
     radii = np.empty(S.shape[0])
     centers = np.empty((S.shape[0], X.shape[1]))
@@ -85,8 +59,8 @@ def oracle_facet_balls(X, S, facets, facet_radii, facet_centers):
                 c, rr = oracle_circumballs(P)
                 bad = ~(np.isfinite(c).all(axis=1) & oracle_holds(P, c, rr).all(axis=1))
                 bad |= S.shape[1] > X.shape[1] + 1
-                if bad.any():
-                    rr[bad], c[bad] = oracle_enclosing_radii(X, rows[own[bad]])
+                for i in np.flatnonzero(bad):
+                    c[i], rr[i] = miniball(P[i])
                 radius[own], center[own] = rr, c
             radii[start : start + ORACLE_CHUNK] = radius
             centers[start : start + ORACLE_CHUNK] = center
@@ -231,6 +205,8 @@ def point_sets(draw, kinds=KINDS, max_points=4, dims=(1, 4)):
 
 
 class TestEnclosingRadii:
+    """The ball of a whole point set, built up through its facets' balls, against Welzl."""
+
     @settings(max_examples=400, deadline=None)
     @given(X=point_sets())
     def test_matches_welzl(self, X):
@@ -248,48 +224,23 @@ class TestEnclosingRadii:
         self.check_against_welzl(X)
 
     @staticmethod
-    def check_against_welzl(X):
-        k = X.shape[0]
-        rows = np.array([np.arange(k), np.arange(k)[::-1]])
+    def enclosing_ball(X):
+        """Radius and center of the one set of all of X's points, from ``facet_balls``."""
+        XT = np.ascontiguousarray(X.T)
+        cells, facets = skeleton(X.shape[0], top=X.shape[0])
+        radii, centers = np.zeros(len(cells[0])), XT[:, cells[0][:, 0]]
+        for k in range(1, len(cells)):
+            radii, centers = facet_balls(XT, cells[k], facets[k], radii, centers)
+        return radii[-1], centers[:, -1]
+
+    @classmethod
+    def check_against_welzl(cls, X):
         expected = miniball(X)[1]
-        radii, centers = enclosing_radii(X, rows)
-        for r, c in zip(radii, centers):
+        for points in (X, X[::-1]):
+            r, c = cls.enclosing_ball(points)
             assert np.isfinite(r)
             assert abs(r - expected) <= 1e-9 * (1 + expected)
             assert np.all(np.linalg.norm(X - c, axis=1) <= r + 1e-9 * (1 + r))
-
-    def test_needle_tetrahedron(self):
-        # A far apex over a unit triangle: not flat, but its edge vectors
-        # from the apex are nearly parallel.  By symmetry the smallest ball
-        # passes through all four points.
-        h = np.sqrt(3) / 2
-        X = np.array(
-            [[0.0, 0.0, 0.0], [h / 1.5, 0.0, 1e3], [-h / 3, 0.5, 1e3], [-h / 3, -0.5, 1e3]]
-        )
-        expected = miniball(X)[1]
-        assert expected == pytest.approx(500.0 + 1 / 6000, rel=1e-12)
-        rows = np.array([[0, 1, 2, 3], [1, 2, 3, 0], [3, 2, 1, 0]])
-        assert enclosing_radii(X, rows)[0] == pytest.approx([expected] * 3, rel=1e-12)
-
-    def test_batch_of_subsets(self, monkeypatch):
-        # A budget of 24 coordinates is 8 rows of 1 point in R^3 down to 1
-        # row of 5, so every cardinality spans several batches.
-        monkeypatch.setattr(importlib.import_module("sparsenerve.miniball"), "CHUNK", 24)
-        rng = np.random.default_rng(5)
-        X = rng.normal(size=(9, 3))
-        for k in range(1, 6):
-            simplices = np.array(list(combinations(range(9), k)))
-            expected = [miniball(X[s])[1] for s in simplices]
-            assert enclosing_radii(X, simplices)[0] == pytest.approx(expected, abs=1e-12)
-
-    def test_empty_batch(self):
-        radii, centers = enclosing_radii(np.zeros((3, 2)), np.zeros((0, 2), dtype=int))
-        assert radii.shape == (0,) and centers.shape == (0, 2)
-
-    def test_zero_dimensional_points(self):
-        # The points of R^0 coincide, so every ball has radius 0.
-        radii, centers = enclosing_radii(np.zeros((3, 0)), np.array([[0, 1], [1, 2]]))
-        assert radii.tolist() == [0.0, 0.0] and centers.shape == (2, 0)
 
 
 def skeleton(n, top=5):
@@ -343,49 +294,61 @@ class TestAmbientRadii:
 
     def test_fallback_rows_match_welzl(self, monkeypatch):
         # Spoil the own circumball of every other row so that those rows go
-        # to the all-subsets search, and check that their balls, carried up
-        # to their cofaces, still give Welzl's radii.
+        # to Welzl one at a time, and check that their balls, carried up to
+        # their cofaces, still give Welzl's radii.
         mb = importlib.import_module("sparsenerve.miniball")
-        circumballs, search = mb._circumballs, mb._search
-        searched = []  # rows per search
-        searching = []  # non-empty inside a search, which builds true balls
+        circumballs, welzl = mb._circumballs, mb.miniball
+        fallbacks = []  # one entry per row sent to Welzl
 
         def spoiled(Q):
             center, radius = circumballs(Q)
-            if not searching:
-                center = center.copy()
-                center[:, ::2] = np.nan  # (D, m) centers: every other row
+            center = center.copy()
+            center[:, ::2] = np.nan  # (D, m) centers: every other row
             return center, radius
 
-        def counted(XT, simplices):
-            searched.append(len(simplices))
-            searching.append(True)
-            try:
-                return search(XT, simplices)
-            finally:
-                searching.pop()
+        def counted(points):
+            fallbacks.append(len(points))
+            return welzl(points)
 
         monkeypatch.setattr(mb, "_circumballs", spoiled)
-        monkeypatch.setattr(mb, "_search", counted)
+        monkeypatch.setattr(mb, "miniball", counted)
         rng = np.random.default_rng(6)
         for D in (2, 3):
             # 10 * D coordinates: 5 rows of 2 points down to 2 rows of 5, so
             # every cardinality from 2 up spans several batches.
             monkeypatch.setattr(mb, "CHUNK", 10 * D)
             check_skeleton_against_welzl(rng.normal(size=(7, D)))
-        assert sum(searched) > 0
+        assert len(fallbacks) > 0
+
+    def test_needle_tetrahedron(self):
+        # A far apex over a unit triangle: not flat, but its edge vectors
+        # from the apex are nearly parallel.  By symmetry the smallest ball
+        # passes through all four points.
+        h = np.sqrt(3) / 2
+        X = np.array(
+            [[0.0, 0.0, 0.0], [h / 1.5, 0.0, 1e3], [-h / 3, 0.5, 1e3], [-h / 3, -0.5, 1e3]]
+        )
+        expected = miniball(X)[1]
+        assert expected == pytest.approx(500.0 + 1 / 6000, rel=1e-12)
+        cells, facets = skeleton(4)
+        for order in ([0, 1, 2, 3], [1, 2, 3, 0], [3, 2, 1, 0]):
+            assert ambient_radii(X[order], cells, facets)[-1] == pytest.approx(expected, rel=1e-12)
+
+    def test_batch_of_subsets(self, monkeypatch):
+        # A budget of 24 coordinates is 4 rows of 2 points in R^3 down to 1
+        # row of 5, so every cardinality spans several batches.
+        monkeypatch.setattr(importlib.import_module("sparsenerve.miniball"), "CHUNK", 24)
+        X = np.random.default_rng(5).normal(size=(9, 3))
+        cells, facets = skeleton(9)
+        expected = [miniball(X[row])[1] for rows in cells for row in rows]
+        assert ambient_radii(X, cells, facets) == pytest.approx(expected, abs=1e-12)
 
 
 def assert_same_as_oracle(X):
-    """ambient_radii and enclosing_radii on X's skeleton equal the oracle's, bit for bit."""
+    """ambient_radii on X's skeleton equals the oracle's, bit for bit."""
     cells, facets = skeleton(X.shape[0])
     got = ambient_radii(X, cells, facets)
     assert got.tobytes() == oracle_ambient_radii(X, cells, facets).tobytes()
-    for rows in cells:
-        radii, centers = enclosing_radii(X, rows)
-        expected_radii, expected_centers = oracle_enclosing_radii(X, rows)
-        assert radii.tobytes() == expected_radii.tobytes()
-        np.testing.assert_array_equal(centers, expected_centers)
 
 
 class TestTrailingAxisOracle:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -62,10 +64,6 @@ class TestDowkerDissimilarity:
         dd = DowkerDissimilarity([[0.0, 1.0, 2.0]])
         assert dd.values.shape == (1, 3)
 
-    def test_max_finite(self):
-        dd = DowkerDissimilarity([[0.0, 5.0, INF]])
-        assert dd.max_finite == 5.0
-
 
 class TestTranslationFunction:
     def test_identity(self):
@@ -100,6 +98,53 @@ class TestTranslationFunction:
     def test_polynomial_below_diagonal_rejected(self):
         with pytest.raises(InputValidationError):
             TranslationFunction.polynomial([0.0, 0.5])
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            # Sampling 1,024 points missed each of these at some data scale.
+            pytest.param(
+                lambda: TranslationFunction.parse("poly:0.977,-0.355,0.748"),
+                "decreases near t=0$",
+                id="poly:0.977,-0.355,0.748",
+            ),
+            pytest.param(
+                lambda: TranslationFunction.parse("poly:0,0.64,0,0,0.362"),
+                "diagonal near t=0.62879",
+                id="poly:0,0.64,0,0,0.362",
+            ),
+            pytest.param(
+                lambda: TranslationFunction.parse("poly:5000"),
+                "diagonal near t=5000$",
+                id="poly:5000",
+            ),
+            pytest.param(
+                lambda: TranslationFunction.tabulated(KNOTS, DENTED),
+                "diagonal near t=50.02$",
+                id="dented-table",
+            ),
+        ],
+    )
+    def test_rejected_where_the_fault_shows(self, make, message):
+        with pytest.raises(InputValidationError, match=message):
+            make()
+
+    def test_touching_the_diagonal_is_not_a_dip(self):
+        # t + (t - 0.3)^2 / 2 touches the diagonal at 0.3, where Horner's
+        # rule gives alpha - t = -1.4e-17; t + (t - 1)^2 - 1e-6 dips below it.
+        TranslationFunction.parse("poly:0.045,0.7,0.5")
+        with pytest.raises(InputValidationError, match="diagonal near t=1$"):
+            TranslationFunction.parse("poly:0.999999,-1,1")
+
+    def test_trailing_zeros_trimmed(self):
+        a = TranslationFunction.parse("poly:1,1,0")
+        assert a.params == (1.0, 1.0)
+        assert a.preimage(3.0) == 2.0
+
+    def test_unlocatable_critical_points_rejected_cleanly(self):
+        # The companion matrix of alpha' - 1 = 1 + 2e-310 t overflows: 1 / 2e-310 is inf.
+        with pytest.raises(InputValidationError, match="critical points"):
+            TranslationFunction.parse("poly:1,2,1e-310")
 
     def test_tabulated_interpolates_and_extends(self):
         a = TranslationFunction.tabulated([0.0, 1.0, 2.0], [0.5, 1.5, 3.0])
@@ -155,6 +200,108 @@ class TestTranslationFunction:
 
     def test_preimage_infinity(self):
         assert TranslationFunction.identity().preimage(INF) == INF
+
+
+# 5,001 knots on the diagonal, one of them 0.05 below it: the dent spans
+# 0.04, less than the gap between 1,024 samples of [0, 100].
+KNOTS = np.linspace(0.0, 100.0, 5001)
+DENTED = KNOTS.copy()
+DENTED[2501] -= 0.05
+
+
+def unchecked(kind, params):
+    """A translation function made without its constructor's check."""
+    alpha = object.__new__(TranslationFunction)
+    alpha.kind, alpha.params = kind, params
+    return alpha
+
+
+def oracle_fault(alpha, upper, samples=5001):
+    """The fault a dense grid on [0, upper] shows first, or None.
+
+    The grid is even on [0, 1] and on [0, upper] and geometric from 1e-3
+    up to ``upper``.  Values count as below the diagonal, or as falling,
+    only beyond a rounding slack of 1e-9 (1 + |alpha|).
+    """
+    grid = np.unique(np.concatenate([
+        np.linspace(0.0, 1.0, samples),
+        np.linspace(0.0, upper, samples),
+        np.geomspace(1e-3, upper, samples),
+    ]))
+    with np.errstate(all="ignore"):
+        vals = alpha(grid)
+    slack = 1e-9 * (1.0 + np.abs(vals))
+    if (vals < grid - slack).any():
+        return "dips below the diagonal"
+    if (np.diff(vals) < -slack[1:]).any():
+        return "decreases"
+    return None
+
+
+def root_bound(c):
+    """Cauchy's bound: every root of the polynomial c (ascending) is smaller
+    in modulus, so past it the polynomial keeps its top's sign."""
+    c = c[: np.flatnonzero(c).max(initial=0) + 1]
+    return 1.0 + np.max(np.abs(c[:-1] / c[-1])) if c.size > 1 else 0.0
+
+
+def verdict(make):
+    """The constructor's fault and the t it names, or (None, None) if it accepts."""
+    try:
+        make()
+    except InputValidationError as exc:
+        found = re.search(r"(dips below the diagonal|decreases) near t=(\S+)", str(exc))
+        return (found[1], float(found[2])) if found else ("degree one", None)
+    return None, None
+
+
+class TestExactCheck:
+    """The constructor against the dense-grid oracle: the same verdict, and
+    a named t near which the grid shows the fault."""
+
+    def check(self, alpha, upper, make):
+        want = oracle_fault(alpha, upper)
+        got, t = verdict(make)
+        if got == "degree one":  # its own exact message, no t
+            assert want is not None, alpha.params
+            return want
+        assert got == want, (alpha.params, t)
+        if t is not None:
+            assert np.isfinite(t) and t >= 0
+            assert oracle_fault(alpha, 2 * t + 1, 2001) == got, (alpha.params, t)
+        return want
+
+    def test_random_polynomials(self, rng):
+        seen = set()
+        for _ in range(1000):
+            degree = int(rng.integers(0, 6))
+            c = rng.normal(size=degree + 1) * 10.0 ** rng.integers(-2, 2, size=degree + 1)
+            c[0] = abs(c[0]) if rng.random() < 0.8 else c[0]
+            c[1:2] += 1.0
+            c[-1] = abs(c[-1]) if rng.random() < 0.7 else c[-1]
+            c = np.round(c, 3)
+            c = c[: max(1, np.flatnonzero(c).max(initial=0) + 1)]
+            g = np.append(c, 0.0)[: max(c.size, 2)]  # alpha(t) - t
+            g[1] -= 1.0
+            upper = 2.0 * max(1.0, root_bound(g), root_bound(c[1:] * np.arange(1, c.size)))
+            alpha = unchecked("polynomial", tuple(c))
+            seen.add(self.check(alpha, upper, lambda: TranslationFunction.polynomial(c)))
+        assert seen == {None, "dips below the diagonal", "decreases"}
+
+    def test_random_tables(self, rng):
+        seen = set()
+        for _ in range(300):
+            k = int(rng.integers(2, 9))
+            ts = np.round(np.sort(rng.uniform(-1.0, 10.0, size=k)), 3)
+            vs = ts + rng.uniform(-0.3, 1.0, size=k)
+            if rng.random() < 0.5:
+                vs = np.maximum.accumulate(vs)
+            vs = np.round(vs, 3)
+            if (np.diff(ts) <= 0).any():
+                continue
+            alpha = unchecked("tabulated", (ts, vs))
+            seen.add(self.check(alpha, ts[-1] + 1.0, lambda: TranslationFunction.tabulated(ts, vs)))
+        assert seen == {None, "dips below the diagonal", "decreases"}
 
 
 def old_closed_form(kind, param, t):

@@ -706,15 +706,13 @@ class TestValidateOnce:
                 call()
 
     def test_translation_below_zero_is_rejected(self):
-        # A tabulated alpha may dip below zero between the points it is
-        # checked at; alpha(Lambda) is still validated once.
-        t, h = 0.3, 1e-7  # 0.3 lies half a step from the nearest check
-        alpha = TranslationFunction.tabulated(
-            [0.0, t - h, t, t + h, 10.0], [0.0, t - h, -1.0, t + h, 10.0]
-        )
-        lam = np.array([[0.0, t], [t, 0.0]])
-        with pytest.raises(InputValidationError, match="negative entry"):
-            sparse_dowker_nerve(DowkerDissimilarity(lam), alpha, 1)
+        # A spike down to -1 narrower than any sampling step: the table is
+        # checked at every knot, so it is rejected when it is made.
+        t, h = 0.3, 1e-7
+        with pytest.raises(InputValidationError, match="dips below the diagonal near t=0.3$"):
+            TranslationFunction.tabulated(
+                [0.0, t - h, t, t + h, 10.0], [0.0, t - h, -1.0, t + h, 10.0]
+            )
 
 
 class TestSparseNervePipeline:
