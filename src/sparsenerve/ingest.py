@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .miniball import _sum_axes
-from .model import INF, DowkerDissimilarity, InputValidationError
+from .model import INF, DowkerDissimilarity, InputValidationError, row_blocks
 
 _MAX_SPREAD = 2.0**500
 
@@ -169,17 +169,25 @@ def _check_fits(n: int, layers: int = 1):
 
 
 def distance_matrix(cloud: PointCloud) -> DowkerDissimilarity:
-    """Euclidean distance matrix of a point cloud (square, symmetric)."""
+    """Euclidean distance matrix of a point cloud (square, symmetric).
+
+    Fills one n x n matrix a block of rows at a time (``row_blocks``), so
+    it holds one block's (D, rows, n) differences, not all n^2 D of them.
+    Each block's squares are summed over D in the order numpy sums a
+    trailing axis, so the distances are those of the (n, n, D) layout bit
+    for bit.  That sum is symmetric and zero on the diagonal as computed:
+    (x_i - x_j)^2 = (x_j - x_i)^2, term by term in the same order, and
+    x_i - x_i = 0.
+    """
     X = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, float)
-    _check_fits(X.shape[0], 1 + X.shape[1])
-    # Coordinate-major (D, n, n) differences, summed over D in the order
-    # numpy sums a trailing axis, so the distances are those of the
-    # (n, n, D) layout bit for bit.
-    diff = X.T[:, :, None] - X.T[:, None, :]
-    diff *= diff
-    dm = np.sqrt(_sum_axes(diff))
-    dm = 0.5 * (dm + dm.T)
-    np.fill_diagonal(dm, 0.0)
+    n, D = X.shape
+    _check_fits(n, 1 + D)
+    XT = X.T
+    dm = np.empty((n, n))
+    for rows in row_blocks(n, D * n):
+        diff = XT[:, rows, None] - XT[:, None, :]
+        diff *= diff
+        np.sqrt(_sum_axes(diff), out=dm[rows])
     return DowkerDissimilarity(dm, metric=True)
 
 

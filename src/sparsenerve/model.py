@@ -7,11 +7,18 @@ everywhere and rejected at construction time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 INF = np.inf
+
+# Working buffer of the chunked loops, in 8-byte cells: 512 KiB stays in
+# cache.  Passes over an L x W matrix take it a block of rows at a time
+# (``row_blocks``), so that they hold one block beside their inputs, not a
+# full-size temporary.
+_CHUNK_CELLS = 1 << 16
 
 # A polynomial's value g(t), computed in floating point, counts as negative
 # only below -SLACK times sum |g_i| t^i: far above the rounding error of
@@ -44,6 +51,13 @@ def as_extended_matrix(values) -> np.ndarray:
         idx = tuple(int(i[0]) for i in np.nonzero(a < 0))
         raise InputValidationError(f"negative entry at index {idx}")
     return a
+
+
+def row_blocks(rows: int, width: int) -> list:
+    """Slices of consecutive rows covering range(rows), each row ``width``
+    cells, about ``_CHUNK_CELLS`` cells a slice (at least one row)."""
+    step = max(1, _CHUNK_CELLS // max(1, width))
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
 def extended_values(values) -> np.ndarray:
@@ -88,13 +102,31 @@ class DowkerDissimilarity:
 
     @classmethod
     def _of_entries(cls, a: np.ndarray) -> "DowkerDissimilarity":
-        """Wrap, unscanned and read-only, a matrix made entrywise from checked
-        ones by max or min, which keep entries in [0, inf]."""
+        """Wrap, unscanned and read-only, a matrix that ``as_extended_matrix``
+        has accepted, or one made entrywise from checked ones by max or min,
+        which keep entries in [0, inf]."""
         a.setflags(write=False)
         dd = object.__new__(cls)
         object.__setattr__(dd, "values", a)
         object.__setattr__(dd, "metric", False)
         return dd
+
+
+def _real_parts_of_roots(c: np.ndarray) -> np.ndarray:
+    """Real parts of the roots of the polynomial c (ascending, top one nonzero).
+
+    The roots are found on t = 2^k tau, with k balancing the lowest nonzero
+    coefficient against the top one, so that the companion matrix stays
+    finite where their ratio leaves the float range (1 + t + 1e-310 t^2).
+    Scaling by a power of 2 is exact; a ratio still out of range after it
+    makes ``np.roots`` raise ``LinAlgError``.
+    """
+    low, top = int(np.flatnonzero(c)[0]), len(c) - 1
+    k = 0
+    if top > low:
+        k = round((math.log2(abs(c[low])) - math.log2(abs(c[top]))) / (top - low))
+    tau = np.roots(np.ldexp(c, np.arange(len(c)) * k)[::-1])
+    return np.ldexp(tau.real, k)
 
 
 def _negative_at(g: np.ndarray):
@@ -108,15 +140,18 @@ def _negative_at(g: np.ndarray):
     points, so Horner's rule runs on Python floats, where overflow gives
     inf or NaN and a NaN value counts as no dip.
     """
-    critical = np.roots(g[:0:-1] * np.arange(len(g) - 1, 0, -1)).real.tolist()
-    for t in [0.0, *sorted(t for t in critical if t > 0)]:
+    critical = _real_parts_of_roots(g[1:] * np.arange(1, len(g))).tolist()
+    for t in [0.0, *sorted(t for t in critical if 0 < t < INF)]:
         value = size = 0.0
         for c in g[::-1].tolist():
             value, size = value * t + c, size * t + abs(c)
         if value < -SLACK * size:
             return t
     if g[-1] < 0:
-        return max(0.0, float(np.roots(g[::-1]).real.max()))
+        last = float(_real_parts_of_roots(g).max())
+        if last == INF:
+            raise np.linalg.LinAlgError("the last real root is past the float range")
+        return max(0.0, last)
     return None
 
 
@@ -161,7 +196,7 @@ class TranslationFunction:
             g[1] -= 1.0
             with np.errstate(all="ignore"):
                 slope = c[1:] * np.arange(1, c.size)  # alpha'
-                try:  # an overflowing companion matrix makes np.roots raise
+                try:  # a root search out of the float range raises
                     dip = _negative_at(g)
                     fall = None if dip is not None else _negative_at(slope)
                 except np.linalg.LinAlgError:

@@ -30,6 +30,7 @@ from .cover import cover_matrix  # noqa: F401  (perfbench's smoke tests look it 
 from .ingest import PointCloud, distance_matrix
 from .miniball import facet_balls, miniball
 from .model import (
+    _CHUNK_CELLS,
     DowkerDissimilarity,
     InputValidationError,
     ParentFunction,
@@ -40,11 +41,6 @@ from .model import (
 )
 from .sparsify import restriction_times
 from .truncation import truncation_result
-
-# Working buffer of the chunked loops of maximal_faces and filtration_values,
-# in 8-byte cells: 512 KiB stays in cache.  filtration_values' rank codes are
-# narrower, so its buffer holds proportionally more of them.
-_CHUNK_CELLS = 1 << 16
 
 # Row gathers per landmark above which filtration_values runs on rank codes.
 # Ranking sorts all of Lambda once; the narrower codes save a share of every
@@ -402,8 +398,11 @@ def maximal_faces(gamma, R: RestrictionTimes, S: frozenset) -> Faces:
     s_mask = np.zeros(n, dtype=bool)
     s_mask[slope] = True
     ok = np.isfinite(g) & (~s_mask[:, None] | (g < times[:, None]))
-    # (w, l'): Gamma where l' may join a face at w, NaN (never <=) elsewhere.
-    joins = np.where(ok, g, np.nan).T.copy()
+    # (w, l'): Gamma where l' may join a face at w, NaN (never <=) elsewhere,
+    # written into one buffer.
+    joins = np.full(g.shape[::-1], np.nan)
+    np.copyto(joins.T, g, where=ok)
+    del ok
     by_time = np.argsort(times)
     level, start = np.unique(times[by_time], return_index=True)
     # (t, w): w is within t of one of t's landmarks.
@@ -412,6 +411,8 @@ def maximal_faces(gamma, R: RestrictionTimes, S: frozenset) -> Faces:
         np.packbits((joins[ws] <= t) & (times >= t), axis=1)
         for t, ws in zip(level[::-1], near[::-1])
     ])
+    # Packed: the L x W work arrays go before dedup and containment.
+    del joins, near
     rows = rows[rows.any(axis=1)]
     if not rows.size:
         return Faces(())
@@ -459,20 +460,21 @@ def filtration_values(lam, cells) -> np.ndarray:
     Raises ``InputValidationError`` where a vertex is not a row of Lambda.
 
     When the rows gather Lambda's rows more than ``_RANK_GATHERS`` times
-    per landmark, the loop runs on rank codes: one ``np.unique`` maps each
-    entry to its rank among Lambda's distinct entries, in the smallest
-    unsigned dtype that holds them, and the minima are looked up in the
-    table of distinct values.  Ranking is strictly increasing, so it
-    commutes with max and min: the values are Lambda's own entries, bit
-    for bit, either way.  The codes move a quarter (uint16) or half
-    (uint32) of float64's bytes, which repays the sort only on a
-    long enough loop.
+    per landmark, the loop runs on rank codes: each entry's rank among
+    Lambda's distinct entries, in the smallest unsigned dtype that holds
+    them, and the minima are looked up in the table of distinct values.
+    Ranking is strictly increasing, so it commutes with max and min: the
+    values are Lambda's own entries, bit for bit, either way.  The codes
+    move a quarter (uint16) or half (uint32) of float64's bytes, which
+    repays the sort only on a long enough loop.  The ranks come from one
+    ``np.argsort`` of Lambda (``_rank_codes``), which holds the order and
+    one sorted copy, not ``np.unique``'s several.
     """
     lam = extended_values(lam)
     table, codes = None, lam
     if sum(c.size for c in cells) > _RANK_GATHERS * lam.shape[0]:
-        table, codes = np.unique(lam, return_inverse=True)
-        codes = codes.reshape(lam.shape).astype(np.min_scalar_type(len(table) - 1))
+        table, codes = _rank_codes(lam)
+    # Rank codes are narrower than 8 bytes: the buffer holds more of them.
     chunk = max(1, _CHUNK_CELLS * 8 // (codes.itemsize * max(1, lam.shape[1])))
     out = [np.empty(0, codes.dtype)]
     for verts in cells:
@@ -490,6 +492,34 @@ def filtration_values(lam, cells) -> np.ndarray:
         out.append(low)
     out = np.concatenate(out)
     return out if table is None else table[out]
+
+
+def _rank_codes(lam: np.ndarray) -> tuple:
+    """Lambda's distinct entries, ascending, and each entry's rank among
+    them, in the smallest unsigned dtype that holds the ranks.
+
+    The table and the ranks of ``np.unique(lam, return_inverse=True)``, from
+    the same quicksort order: the sorted entries are marked where they
+    change, and the running count of the marks after the first, which
+    starts at 0 and so ends at the largest rank, is taken in the codes'
+    dtype and scattered back.  Holds the order, one sorted copy and the
+    marks at once, not ``np.unique``'s flattened copy, sorted copy and two
+    int64 index arrays besides.
+    """
+    order = np.argsort(lam, axis=None)
+    ranked = lam.ravel().take(order)
+    change = np.empty(lam.size, bool)
+    change[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=change[1:])
+    table = ranked[change]
+    del ranked
+    rank = change.astype(np.min_scalar_type(len(table) - 1))
+    del change
+    rank[:1] = 0
+    np.cumsum(rank, dtype=rank.dtype, out=rank)
+    codes = np.empty_like(rank)
+    codes[order] = rank
+    return table, codes.reshape(lam.shape)
 
 
 def skeleton_size(n: int, d: int) -> int:
@@ -516,6 +546,14 @@ def expand_skeleton(faces: Faces, d: int, max_simplices=None) -> Skeleton:
     """
     if not faces.rows:
         return _skeleton([np.empty((0, 1), np.int64)], [None])
+    # The expansion's work arrays are freed when it returns, before the
+    # facet table is built.
+    return _skeleton(*_expand(faces, d, max_simplices))
+
+
+def _expand(faces: Faces, d: int, max_simplices) -> tuple:
+    """``expand_skeleton``'s cells and, per cardinality, the (prefix row,
+    last vertex) of each row, for non-empty ``faces``."""
     flat = np.concatenate([b.ravel() for b in faces.rows])
     labels, vertex = np.unique(flat, return_inverse=True)
     u, sizes = len(labels), [b.shape[1] for b in faces.rows]
@@ -574,8 +612,9 @@ def expand_skeleton(faces: Faces, d: int, max_simplices=None) -> Skeleton:
                 raise SizeLimitError(total, max_simplices)
         sigma = np.concatenate(parts)
         cells.append(labels[sigma])
-        trie.append((np.concatenate(prefix), sigma[:, -1]))
-    return _skeleton(cells, trie)
+        # A copy, so that the trie does not keep sigma alive.
+        trie.append((np.concatenate(prefix), sigma[:, -1].copy()))
+    return cells, trie
 
 
 def _skeleton(cells, trie) -> Skeleton:

@@ -10,6 +10,7 @@ from .model import (
     ParentFunction,
     RestrictionTimes,
     extended_values,
+    row_blocks,
 )
 
 
@@ -19,7 +20,9 @@ def restriction_times(phi: ParentFunction, lam, gamma) -> RestrictionTimes:
     Each non-root point's raw deadline is the cover-matrix entry
     rho(l, parent(l)) of (Lambda, Gamma): the largest Lambda(parent(l), w)
     over witnesses w with Gamma(l, w) < Lambda(parent(l), w), or 0 if there
-    is none.  Only these n entries are computed, never the whole matrix.  The
+    is none.  Only these n entries are computed, never the whole matrix,
+    a block of rows at a time (``row_blocks``): the parents' rows of Lambda
+    are gathered one block at a time, not as a second L x W matrix.  The
     root's deadline is infinite.  Deadlines then propagate upwards so every
     node carries the maximum raw deadline over its subtree, making parents
     outlive their children's removal.
@@ -29,8 +32,10 @@ def restriction_times(phi: ParentFunction, lam, gamma) -> RestrictionTimes:
     if lam.shape != gamma.shape or lam.shape[0] != len(phi):
         raise InputValidationError("dissimilarities do not match the parent tree")
     p = phi.parent
-    lp = lam[p]
-    raw = np.where(gamma < lp, lp, 0.0).max(axis=1, initial=0.0)
+    raw = np.empty(len(p))
+    for rows in row_blocks(len(p), lam.shape[1]):
+        lp = lam[p[rows]]
+        np.where(gamma[rows] < lp, lp, 0.0).max(axis=1, initial=0.0, out=raw[rows])
     raw[phi.root] = INF
     times = raw.copy()
     for l in phi.leaves_first():

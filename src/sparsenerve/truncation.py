@@ -24,6 +24,7 @@ from .model import (
     InputValidationError,
     ParentFunction,
     TranslationFunction,
+    as_extended_matrix,
     extended_values,
 )
 
@@ -65,7 +66,8 @@ def farthest_point_sampling(
     the other points get their entry computed.  The initial point's full
     column comes from ``cover_matrix``; each later one from
     ``cover_column`` directly, on the arrays validated on entry (a
-    ``DowkerDissimilarity`` is not scanned again).
+    ``DowkerDissimilarity`` is not scanned again), gathering the candidate
+    rows of alpha(Lambda) a block at a time.
     """
     alpha_dd, lam, alpha_lam = alpha_lam, extended_values(lam), extended_values(alpha_lam)
     if lam.shape != alpha_lam.shape:
@@ -97,7 +99,7 @@ def farthest_point_sampling(
         cand = np.flatnonzero(bound < d)
         if cand.size == 0:
             continue
-        col = cover_column(lam[li], alpha_lam[cand])
+        col = cover_column(lam[li], alpha_lam, cand)
         near = d[cand]
         parent[cand[col < near]] = li
         d[cand] = np.minimum(near, col)
@@ -134,20 +136,24 @@ def truncation_result(
     maximized back up to Lambda and folded into its parent's row, so each
     row dominates its whole subtree wherever alpha(Lambda) allows.
     Alpha was checked exactly when it was made; alpha(Lambda) is scanned
-    once, as a safety net.  Farthest-point sampling computes only the
-    cover entries of (Lambda, alpha(Lambda)) it needs.  Gamma, made of
-    their entries, is not scanned again.
+    once, by ``as_extended_matrix``, as a safety net, and wrapped without
+    a copy.  Farthest-point sampling computes only the cover entries of
+    (Lambda, alpha(Lambda)) it needs.  Gamma is then folded in
+    alpha(Lambda)'s own buffer, so the run holds Lambda and one more
+    L x W matrix; made of their entries, Gamma is not scanned again.
     """
     if not isinstance(dd, DowkerDissimilarity):
         dd = DowkerDissimilarity(dd)
     lam = dd.values
-    alpha_lam = DowkerDissimilarity(alpha(lam))
-    fps = farthest_point_sampling(dd, alpha_lam, initial_point)
+    gamma = as_extended_matrix(alpha(lam))
+    fps = farthest_point_sampling(dd, DowkerDissimilarity._of_entries(gamma), initial_point)
     tree = ParentFunction(parent=fps.parent)
 
+    # alpha(Lambda), a new array of alpha's making, is no longer read:
+    # Gamma starts as it, in place.
     # Children are inserted after their parent, so walking the order
     # backwards finishes every row before it is folded into its parent's.
-    gamma = alpha_lam.values.copy()
+    gamma.setflags(write=True)
     for l in fps.order[::-1]:
         row = gamma[l]
         np.maximum(row, lam[l], out=row)

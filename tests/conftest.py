@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparsenerve.model import TranslationFunction
+from sparsenerve.model import TranslationFunction, row_blocks
 
 
 ENTRY_POOL = np.array([0.0, 1.0, 2.0, 3.0, np.inf])
@@ -36,6 +36,30 @@ def random_dissimilarity(rng, max_side=7):
     nl = int(rng.integers(2, max_side + 1))
     nw = int(rng.integers(2, max_side + 1))
     return rng.choice(ENTRY_POOL, size=(nl, nw), p=[0.15, 0.3, 0.25, 0.2, 0.1])
+
+
+def multi_block_dissimilarity(seed, rows=350, cols=600):
+    """Rectangular Lambda spanning several ``row_blocks``: tied entries
+    (one decimal), 10% inf and one all-inf row."""
+    rng = np.random.default_rng(seed)
+    lam = np.round(rng.uniform(0.0, 10.0, size=(rows, cols)), 1)
+    lam[rng.random(lam.shape) < 0.1] = np.inf
+    lam[rng.integers(rows)] = np.inf
+    assert len(row_blocks(rows, cols)) > 1
+    return lam
+
+
+def record_blocks(monkeypatch, module):
+    """Patch ``module.row_blocks`` to record how many blocks each call makes."""
+    counts = []
+
+    def recording(rows, width):
+        blocks = row_blocks(rows, width)
+        counts.append(len(blocks))
+        return blocks
+
+    monkeypatch.setattr(module, "row_blocks", recording)
+    return counts
 
 
 @pytest.fixture

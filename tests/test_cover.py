@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsenerve.cover import cover_matrix
+from sparsenerve import cover
+from sparsenerve.cover import cover_column, cover_matrix
 from sparsenerve.model import INF, InputValidationError
 
-from conftest import ENTRY_POOL, random_dissimilarity
+from conftest import ENTRY_POOL, multi_block_dissimilarity, random_dissimilarity, record_blocks
 
 
 def cover_matrix_oracle(lam1, lam2):
@@ -79,6 +80,27 @@ class TestCoverMatrix:
             np.testing.assert_array_equal(
                 cover_matrix(l1[a], l2[b]), cover_matrix(l1, l2)[np.ix_(b, a)]
             )
+
+    def test_row_blocks_match_one_pass(self, monkeypatch):
+        # Lambda2's rows span several blocks; every column equals the
+        # masked max over all of them at once, bit for bit.
+        lam2 = multi_block_dissimilarity(1)
+        lam1 = multi_block_dissimilarity(2)[:6]
+        blocks = record_blocks(monkeypatch, cover)
+        rho = cover_matrix(lam1, lam2)
+        assert min(blocks) > 1
+        for lp, row in enumerate(lam1):
+            np.testing.assert_array_equal(rho[:, lp], np.where(lam2 < row, row, 0.0).max(axis=1))
+
+    def test_listed_rows_match_one_pass(self, monkeypatch):
+        # More listed rows than one block, out of order and repeated.
+        lam2 = multi_block_dissimilarity(3)
+        rows = np.random.default_rng(4).integers(0, len(lam2), size=500)
+        row = multi_block_dissimilarity(5)[0]
+        blocks = record_blocks(monkeypatch, cover)
+        col = cover_column(row, lam2, rows)
+        assert blocks[0] > 1
+        np.testing.assert_array_equal(col, np.where(lam2[rows] < row, row, 0.0).max(axis=1))
 
     def test_zero_rows_in_second_argument(self):
         rho = cover_matrix(np.zeros((3, 4)), np.zeros((0, 4)))

@@ -22,7 +22,7 @@ from sparsenerve.ingest import (
     write_edge_list,
     write_point_cloud,
 )
-from sparsenerve.model import INF, InputValidationError
+from sparsenerve.model import INF, InputValidationError, row_blocks
 
 
 class TestPointCloudFiles:
@@ -162,15 +162,23 @@ class TestDistanceMatrix:
                     assert dm[i, j] <= dm[i, k] + dm[k, j] + 1e-9
 
     @pytest.mark.parametrize("D", [1, 2, 7, 8, 9, 64, 127, 128, 129, 300])
-    @pytest.mark.parametrize("n", [1, 7, 60])
+    @pytest.mark.parametrize("n", [1, 7, 60, 300, 700])
     def test_matches_a_trailing_axis_sum(self, D, n):
         # The (n, n, D) sum of squares it replaces, bit for bit: on squares of
-        # like size, another order of the sum rounds differently.
+        # like size, another order of the sum rounds differently.  Summed
+        # row by row, which sums each contiguous length-D axis as the whole
+        # (n, n, D) array would, without holding it.  n = 300 and 700 span
+        # several row blocks at every D; the symmetrizing and the zeroed
+        # diagonal of the old code must be no-ops.
         X = np.random.default_rng(D * n).normal(size=(n, D))
-        diff = X[:, None, :] - X[None, :, :]
-        dm = np.sqrt(np.sum(diff * diff, axis=-1))
+        dm = np.empty((n, n))
+        for i in range(n):
+            diff = X[i] - X
+            dm[i] = np.sqrt(np.sum(diff * diff, axis=-1))
         dm = 0.5 * (dm + dm.T)
         np.fill_diagonal(dm, 0.0)
+        if n >= 300:
+            assert len(row_blocks(n, n * D)) > 1
         assert distance_matrix(X).values.tobytes() == dm.tobytes()
 
 

@@ -142,9 +142,19 @@ class TestTranslationFunction:
         assert a.preimage(3.0) == 2.0
 
     def test_unlocatable_critical_points_rejected_cleanly(self):
-        # The companion matrix of alpha' - 1 = 1 + 2e-310 t overflows: 1 / 2e-310 is inf.
+        # alpha' - 1 = 1e-10 + 1e300 t + 1e-10 t^2: balancing its first and
+        # last coefficients leaves 1e300 / 1e-10 = inf in the companion matrix.
         with pytest.raises(InputValidationError, match="critical points"):
-            TranslationFunction.parse("poly:1,2,1e-310")
+            TranslationFunction.parse("poly:0,1.0000000001,5e299,3.33e-11")
+
+    def test_tiny_top_coefficient_is_located(self):
+        # Unscaled, the companion matrix of alpha' - 1 = 1 + 2e-310 t holds
+        # -1 / 2e-310 = -inf; on t = 2^k tau it is finite.
+        alpha = TranslationFunction.parse("poly:1,2,1e-310")
+        assert alpha(3.0) == 7.0
+        # alpha(t) - t = 1 - 1e-310 t^2 is negative past t = 1e155.
+        with pytest.raises(InputValidationError, match="diagonal near t=1e\\+155"):
+            TranslationFunction.parse("poly:1,1,-1e-310")
 
     def test_tabulated_interpolates_and_extends(self):
         a = TranslationFunction.tabulated([0.0, 1.0, 2.0], [0.5, 1.5, 3.0])

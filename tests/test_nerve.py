@@ -1024,6 +1024,35 @@ class TestFiltrationValues:
             assert filtration_values(lam, cells).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
+        "distinct, dtype",
+        [(256, np.uint8), (257, np.uint16), (65_536, np.uint16), (65_537, np.uint32)],
+    )
+    def test_rank_codes_at_dtype_edges(self, distinct, dtype):
+        # The largest rank fills its dtype: a count from 1 would wrap.  One
+        # row is all inf, the top value, so some vertex's value is the top
+        # code's.  The codes are np.unique's inverse and the values are the
+        # float64 path's, bit for bit.
+        rng = np.random.default_rng(distinct)
+        cols = 300
+        rows = -(-distinct // cols) + 3
+        values = np.append(np.cumsum(rng.uniform(0.01, 1.0, distinct - 1)), INF)
+        extra = rng.choice(values, (rows - 1) * cols - distinct)
+        lam = rng.permutation(np.append(values, extra)).reshape(rows - 1, cols)
+        lam = np.insert(lam, rng.integers(rows), INF, axis=0)
+        table, codes = nerve._rank_codes(lam)
+        want_table, want_codes = np.unique(lam, return_inverse=True)
+        assert len(table) == distinct and codes.dtype == dtype
+        assert table.tobytes() == want_table.tobytes()
+        np.testing.assert_array_equal(codes, want_codes.reshape(lam.shape))
+        cells = [np.arange(rows).reshape(-1, 1)]
+        cells += [np.sort(rng.choice(rows, size=(200, k)), axis=1) for k in (2, 3)]
+        with mock.patch.object(nerve, "_RANK_GATHERS", 1 << 30):
+            floats = filtration_values(lam, cells)
+        with mock.patch.object(nerve, "_RANK_GATHERS", 0):
+            assert filtration_values(lam, cells).tobytes() == floats.tobytes()
+        assert np.isinf(floats).any()
+
+    @pytest.mark.parametrize(
         "cells", [[np.array([[-1]]), np.array([[-1, 0]])], [np.array([[5]])]]
     )
     def test_vertex_outside_the_landmarks(self, cells):

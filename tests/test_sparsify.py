@@ -10,10 +10,16 @@ from sparsenerve.model import (
     ParentFunction,
     TranslationFunction,
 )
+from sparsenerve import sparsify
 from sparsenerve.sparsify import restriction_times
 from sparsenerve.truncation import truncation_result
 
-from conftest import ENTRY_POOL, random_dissimilarity
+from conftest import (
+    ENTRY_POOL,
+    multi_block_dissimilarity,
+    random_dissimilarity,
+    record_blocks,
+)
 
 ALPHAS = [
     TranslationFunction.identity(),
@@ -112,6 +118,22 @@ class TestRestrictionTimes:
                     if l in _ancestors(phi, x) or x == l
                 ]
                 assert R.times[l] == max(rprime[x] for x in subtree)
+
+    def test_row_blocks_match_one_pass(self, monkeypatch):
+        # 350 x 600 Lambda and Gamma with ties and inf entries, over several
+        # row blocks; the oracle gathers every parent row at once.
+        lam = multi_block_dissimilarity(4)
+        gamma = np.maximum(lam, multi_block_dissimilarity(5))
+        phi = _random_tree(np.random.default_rng(6), lam.shape[0])
+        blocks = record_blocks(monkeypatch, sparsify)
+        R = restriction_times(phi, lam, gamma)
+        assert len(blocks) == 1 and blocks[0] > 1
+        lp = lam[phi.parent]
+        times = np.where(gamma < lp, lp, 0.0).max(axis=1)
+        times[phi.root] = INF
+        for l in phi.leaves_first():
+            times[phi.parent[l]] = max(times[phi.parent[l]], times[l])
+        np.testing.assert_array_equal(R.times, times)
 
     @pytest.mark.parametrize("spec", ["id", "mult:1.5", "add:0.5", "poly:0,1,1e300"])
     def test_doubling_is_exact(self, spec):

@@ -18,7 +18,12 @@ from sparsenerve.truncation import (
     truncation_tree,
 )
 
-from conftest import EVERY_ALPHA_KIND, random_dissimilarity
+from conftest import (
+    EVERY_ALPHA_KIND,
+    multi_block_dissimilarity,
+    random_dissimilarity,
+    record_blocks,
+)
 
 
 @st.composite
@@ -116,6 +121,22 @@ class TestFarthestPointSampling:
         np.testing.assert_array_equal(fps.insertion_radius, radius)
         np.testing.assert_array_equal(fps.parent, parent)
 
+    @pytest.mark.parametrize("start", [0, 17])
+    def test_blocked_candidates_match_dense(self, monkeypatch, start):
+        # 350 x 600 Lambda with ties and inf entries: the initial column and
+        # the early candidate columns span several row blocks.  The oracle's
+        # cover matrix is computed one column at a time over all rows.
+        lam = multi_block_dissimilarity(start)
+        alpha_lam = TranslationFunction.multiplicative(1.5)(lam)
+        rho = np.column_stack([np.where(alpha_lam < row, row, 0.0).max(axis=1) for row in lam])
+        blocks = record_blocks(monkeypatch, cover)
+        fps = farthest_point_sampling(lam, alpha_lam, start)
+        assert sum(b > 1 for b in blocks) > 1
+        order, radius, parent = dense_farthest_point_sampling(rho, start)
+        np.testing.assert_array_equal(fps.order, order)
+        np.testing.assert_array_equal(fps.insertion_radius, radius)
+        np.testing.assert_array_equal(fps.parent, parent)
+
     def test_computes_few_cover_entries(self, monkeypatch):
         # Skipping an entry never changes the result, so only a count
         # shows whether the lower bound still prunes.  Every entry, the
@@ -189,6 +210,22 @@ class TestTruncate:
             TranslationFunction.multiplicative(2),
         ).gamma
         assert gamma.values.tolist() == [[0.0, 2.0, 4.0]]
+
+    def test_folds_in_alpha_lambda_without_touching_lambda(self):
+        # Gamma is folded in alpha(Lambda)'s own buffer: it equals the fold
+        # on a copy, Lambda keeps its bytes and Gamma comes back read-only.
+        dd = DowkerDissimilarity(multi_block_dissimilarity(7))
+        before = dd.values.tobytes()
+        alpha = TranslationFunction.multiplicative(1.5)
+        tr = truncation_result(dd, alpha)
+        gamma = alpha(dd.values)
+        for l in tr.fps.order[::-1]:
+            gamma[l] = np.maximum(gamma[l], dd.values[l])
+            p = tr.fps.parent[l]
+            gamma[p] = np.minimum(gamma[p], gamma[l])
+        assert tr.gamma.values.tobytes() == gamma.tobytes()
+        assert dd.values.tobytes() == before
+        assert not tr.gamma.values.flags.writeable
 
     def test_sandwich_bound(self, rng):
         alpha = TranslationFunction.multiplicative(3)
