@@ -108,7 +108,7 @@ def read_distance_matrix(path, metric: bool = True) -> DowkerDissimilarity:
     for lineno, row in rows:
         if len(row) != width:
             raise InputValidationError(f"{path}:{lineno}: ragged row")
-    return DowkerDissimilarity(np.array([row for _, row in rows]), metric=metric)
+    return DowkerDissimilarity._of_fresh(np.array([row for _, row in rows]), metric)
 
 
 def read_edge_list(path) -> WeightedGraph:
@@ -155,11 +155,12 @@ def write_diagram(path, diagram):
             fh.write(f"{dim},{b!r},{'inf' if np.isinf(d) else repr(d)}\n")
 
 
-def _check_fits(n: int, layers: int = 1):
-    """Raise ``MemoryError`` where ``layers`` n x n float64 matrices exceed
-    physical memory, before they are allocated: a machine that overcommits
-    would start filling them."""
-    need = 8 * n * n * layers
+def _check_fits(n: int):
+    """Raise ``MemoryError`` where an n x n float64 matrix exceeds physical
+    memory, before it is allocated: a machine that overcommits would start
+    filling it.  Ingest holds that matrix and at most one row block beside
+    it."""
+    need = 8 * n * n
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise MemoryError(
@@ -181,14 +182,15 @@ def distance_matrix(cloud: PointCloud) -> DowkerDissimilarity:
     """
     X = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, float)
     n, D = X.shape
-    _check_fits(n, 1 + D)
+    _check_fits(n)
     XT = X.T
     dm = np.empty((n, n))
     for rows in row_blocks(n, D * n):
         diff = XT[:, rows, None] - XT[:, None, :]
         diff *= diff
         np.sqrt(_sum_axes(diff), out=dm[rows])
-    return DowkerDissimilarity(dm, metric=True)
+        del diff  # before the next block is made beside it
+    return DowkerDissimilarity._of_fresh(dm, metric=True)
 
 
 def shortest_path_matrix(g: WeightedGraph) -> DowkerDissimilarity:
@@ -208,7 +210,7 @@ def shortest_path_matrix(g: WeightedGraph) -> DowkerDissimilarity:
         adj = coo_matrix((n, n))
     dm = shortest_path(adj.tocsr(), directed=False)
     np.fill_diagonal(dm, 0.0)
-    return DowkerDissimilarity(dm, metric=True)
+    return DowkerDissimilarity._of_fresh(dm, metric=True)
 
 
 def raw_weight_matrix(g: WeightedGraph) -> DowkerDissimilarity:
@@ -218,7 +220,7 @@ def raw_weight_matrix(g: WeightedGraph) -> DowkerDissimilarity:
     np.fill_diagonal(dm, 0.0)
     for u, v, w in g.edges:
         dm[u, v] = dm[v, u] = min(dm[u, v], w)
-    return DowkerDissimilarity(dm)
+    return DowkerDissimilarity._of_fresh(dm)
 
 
 GRAPH_KINDS = (

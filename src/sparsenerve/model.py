@@ -42,12 +42,17 @@ class SizeLimitError(RuntimeError):
 
 
 def as_extended_matrix(values) -> np.ndarray:
-    """Coerce to a float64 matrix of extended values, rejecting NaN and negatives."""
+    """Coerce to a float64 matrix of extended values, rejecting NaN and negatives.
+
+    One min reduction shows both faults, as NaN propagates through it, so
+    the scan makes no mask of the matrix; masks are made only to name one.
+    """
     a = np.asarray(getattr(values, "values", values), dtype=float)
-    if np.isnan(a).any():
+    low = a.min(initial=0.0)
+    if np.isnan(low):
         idx = tuple(int(i[0]) for i in np.nonzero(np.isnan(a)))
         raise InputValidationError(f"NaN entry at index {idx}")
-    if (a < 0).any():
+    if low < 0:
         idx = tuple(int(i[0]) for i in np.nonzero(a < 0))
         raise InputValidationError(f"negative entry at index {idx}")
     return a
@@ -80,7 +85,19 @@ class DowkerDissimilarity:
     metric: bool = False
 
     def __post_init__(self):
-        a = np.array(getattr(self.values, "values", self.values), dtype=float)
+        self._hold(np.array(getattr(self.values, "values", self.values), dtype=float))
+
+    @classmethod
+    def _of_fresh(cls, a: np.ndarray, metric: bool = False) -> "DowkerDissimilarity":
+        """Check and wrap, without the constructor's copy, a new float64
+        matrix that nothing else holds; it becomes read-only."""
+        dd = object.__new__(cls)
+        object.__setattr__(dd, "metric", metric)
+        dd._hold(a)
+        return dd
+
+    def _hold(self, a: np.ndarray):
+        """Check ``a`` as the constructor does, then keep it, read-only."""
         as_extended_matrix(a)
         if a.ndim != 2 or 0 in a.shape:
             raise InputValidationError(f"expected a nonempty 2-d matrix, got shape {a.shape}")
@@ -91,12 +108,15 @@ class DowkerDissimilarity:
             if bad.size:
                 i = bad[0]
                 raise InputValidationError(f"metric has diagonal entry {a[i, i]} at ({i}, {i})")
-            bad = np.argwhere(a != a.T)
-            if bad.size:
-                i, j = bad[0]
-                raise InputValidationError(
-                    f"metric is not symmetric: {a[i, j]} at ({i}, {j}), {a[j, i]} at ({j}, {i})"
-                )
+            # Row blocks, so that no n x n mask is made.
+            for rows in row_blocks(*a.shape):
+                bad = np.argwhere(a[rows] != a.T[rows])
+                if bad.size:
+                    i, j = bad[0] + (rows.start, 0)
+                    raise InputValidationError(
+                        f"metric is not symmetric: {a[i, j]} at ({i}, {j}),"
+                        f" {a[j, i]} at ({j}, {i})"
+                    )
         a.setflags(write=False)
         object.__setattr__(self, "values", a)
 

@@ -255,7 +255,7 @@ class FilteredComplex:
         built[given] = position
         down = np.flatnonzero(built[1:] < built[:-1])
         if down.size:
-            a, b = (K.simplices[i] for i in built[down[0] : down[0] + 2])
+            a, b = (_simplex(K, i) for i in built[down[0] : down[0] + 2])
             raise InputValidationError(f"not sorted at {a} -> {b}")
         for name in ("cells", "dims", "values", "facets"):
             object.__setattr__(self, name, getattr(K, name))
@@ -266,12 +266,20 @@ class FilteredComplex:
     @cached_property
     def simplices(self) -> tuple:
         """Vertex tuples of the simplices in filtration order, built on first use."""
-        rows = [iter(list(map(tuple, c.tolist()))) for c in self.cells]
+        # Each row's tuple is zipped from its dimension's column lists, so no
+        # list per row is made beside it.
+        rows = [zip(*c.T.tolist()) for c in self.cells]
         return tuple(next(rows[p]) for p in self.dims.tolist())
 
     def check(self):
         """Raise unless the cells, dims and values build this complex again."""
         FilteredComplex(self.cells, self.dims, self.values, self.dim_cap)
+
+
+def _simplex(K: FilteredComplex, i: int) -> tuple:
+    """Vertex tuple of the i-th simplex of ``K``, from its row of ``K.cells``."""
+    p = K.dims[i]
+    return tuple(K.cells[p][np.count_nonzero(K.dims[:i] == p)].tolist())
 
 
 def make_filtered_complex(cells, values=None, *, dim_cap: int) -> FilteredComplex:

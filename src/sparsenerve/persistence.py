@@ -42,26 +42,37 @@ def _reduce_cohomology(facets, dims, max_dim):
     Returns the pairs as an (m, 2) array of (birth, death) indices sorted
     by birth, and the essential births as a sorted array.
 
-    ``facets`` and ``dims`` are as ``_boundary_columns`` returns them.
-    Dimension 0 is union-find over the edges in filtration order: an edge
+    ``facets`` and ``dims`` are as ``_boundary_columns`` returns them.  Each
+    dimension works on row numbers within its own simplices (``by_dim``),
+    mapped to filtration indices once at the end, so no Python object is
+    made per simplex.  Dimension 0 is union-find over vertex ids, which rise
+    with filtration position, over the edges in filtration order: an edge
     joining two components kills the younger one's oldest vertex (the elder
-    rule).  Each dimension k >= 1 reduces the coboundaries of the
-    k-simplices, latest simplex first, with the earliest coface as pivot
-    (de Silva, Morozov and Vejdemo-Johansson, "Dualities in persistent
-    (co)homology", 2011).  Simplices that died in dimension k - 1 reduce to
-    zero and are skipped (clearing), and a column whose earliest coface is
-    no pivot yet is paired without reduction (an emergent pair), as in
-    Bauer's Ripser (J. Appl. Comput. Topol. 5, 2021).
+    rule).  The scan stops once one component remains.  Each dimension
+    k >= 1 reduces the coboundaries of the k-simplices, latest simplex
+    first, with the earliest coface as pivot (de Silva, Morozov and
+    Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011).
+    Simplices that died in dimension k - 1 reduce to zero and are skipped
+    (clearing), and a column whose earliest coface is no pivot yet is paired
+    without reduction (an emergent pair), as in Bauer's Ripser (J. Appl.
+    Comput. Topol. 5, 2021).
+
+    A k-simplex that is the latest facet of its earliest coface forms an
+    apparent pair with it: no later simplex has that coface, so its column
+    is emergent whatever ran before.  These are paired in bulk, and the loop
+    visits only the other columns.  ``owner`` maps an apparent coface to
+    its column, whose coboundary is added where a reduced column's pivot
+    meets that coface.
 
     The coboundaries of dimension k are slices of one sorted array of the
-    (facet, coface) pairs of the (k+1)-simplices.  The column being reduced
-    is a boolean array ``work`` over all simplices: an addition flips the
-    entries of a stored column, and the next pivot is the first set entry
-    from the last one up to the largest index touched (``argmax``); none
-    means the column is zero and its simplex essential.  A reduced column is
-    stored as its set indices, which are then cleared, an emergent one as
-    its slice.  Pairs equal those of the boundary-matrix reduction
-    ``_reduce_twist``.
+    (facet, coface row) pairs of the (k+1)-simplices.  The column being
+    reduced is a boolean array ``work`` over the (k+1)-simplices: an
+    addition flips the entries of a stored column, and the next pivot is the
+    first set entry from the last one up to the largest index touched
+    (``argmax``); none means the column is zero and its simplex essential.
+    A reduced column is stored as its set rows, which are then cleared, an
+    emergent one as its slice.  Pairs equal those of the boundary-matrix
+    reduction ``_reduce_twist``.
     """
     dims = np.asarray(dims)
     # No k-simplex above the top dimension: nothing to reduce there.
@@ -73,7 +84,8 @@ def _reduce_cohomology(facets, dims, max_dim):
             return facets[k]
         return np.empty((0, k + 1), np.intp)
 
-    parent = list(range(len(dims)))
+    u = len(by_dim[0])
+    parent = list(range(u))
 
     def find(x):
         while parent[x] != x:
@@ -81,49 +93,71 @@ def _reduce_cohomology(facets, dims, max_dim):
             x = parent[x]
         return x
 
-    birth, death = [], []
-    for e, (a, b) in zip(by_dim[1].tolist(), facets_of(1).tolist()):
-        u, v = find(a), find(b)
-        if u != v:
-            if u > v:
-                u, v = v, u
-            parent[v] = u
-            birth.append(v)
-            death.append(e)
-    essential = [v for v in by_dim[0].tolist() if parent[v] == v]
-    deaths = set(death)
+    born, died = [], []  # vertex ids, edge rows
+    ends = np.searchsorted(by_dim[0], facets_of(1))
+    # Edges as lists a block at a time, so a scan that stops early converts few.
+    edges = (row for lo in range(0, len(ends), 1024) for row in ends[lo : lo + 1024].tolist())
+    for e, (a, b) in enumerate(edges):
+        a, b = find(a), find(b)
+        if a != b:
+            if a > b:
+                a, b = b, a
+            parent[b] = a
+            born.append(b)
+            died.append(e)
+            if len(died) == u - 1:
+                break
+    births = [by_dim[0][born]]
+    deaths = [by_dim[1][died]]
+    essential = [by_dim[0][[v for v in range(u) if parent[v] == v]]]
+    dead = np.array(died, np.intp)  # rows of the k-simplices that died in dimension k - 1
 
-    n = max(len(dims), 1)
     for k in range(1, top + 1):
-        # One sort of facet * n + coface orders the (facet, coface) pairs
-        # by facet, then coface, so each coboundary is a sorted slice.
-        up = facets_of(k + 1)
-        cofaces = np.sort(up * n + by_dim[k + 1][:, None], axis=None) % n
-        count = np.bincount(up.ravel(), minlength=n)
-        latest = by_dim[k][::-1]
-        last = np.cumsum(count)[latest]
-        first = last - count[latest]
-        lead = np.full(len(latest), -1)  # earliest coface, -1 if none
+        up, rows = facets_of(k + 1), by_dim[k]
+        m = len(up)
+        # Sorting facet * m + coface row orders the pairs by facet, then
+        # coface, so each coboundary is a sorted slice of coface rows.
+        cofaces = up * m
+        cofaces += np.arange(m)[:, None]
+        cofaces = cofaces.ravel()
+        cofaces.sort()
+        first = np.searchsorted(cofaces, rows * m)
+        last = np.searchsorted(cofaces, rows * m + m)
+        cofaces %= max(m, 1)
+        live = np.ones(len(rows), bool)
+        live[dead] = False
         has = first < last
+        lead = np.full(len(rows), -1)  # earliest coface, -1 if none
         lead[has] = cofaces[first[has]]
-        work = np.zeros(len(dims), bool)
+        apparent = live & has
+        apparent[apparent] = up[lead[apparent]].max(axis=1) == rows[apparent]
+        owner = np.full(m, -1)  # apparent coface -> its column
+        owner[lead[apparent]] = np.flatnonzero(apparent)
+        births.append(rows[apparent])
+        deaths.append(by_dim[k + 1][lead[apparent]])
+        essential.append(rows[live & ~has])
+
+        todo = np.flatnonzero(live & has & ~apparent)[::-1]
+        work = np.zeros(m, bool)
         pivots = {}  # pivot coface -> the reduced coboundary owning it
-        for i, a, b, low in zip(latest.tolist(), first.tolist(), last.tolist(), lead.tolist()):
-            if i in deaths:
-                continue
-            if low < 0:
-                essential.append(i)
-                continue
-            if low not in pivots:
+        born, died, zero = [], [], []
+        columns = zip(todo.tolist(), first[todo].tolist(), last[todo].tolist(), lead[todo].tolist())
+        for i, a, b, low in columns:
+            if low not in pivots and owner[low] < 0:
                 pivots[low] = cofaces[a:b]
-                birth.append(i)
-                death.append(low)
+                born.append(i)
+                died.append(low)
                 continue
             col = cofaces[a:b]
             work[col] = True
             hi = int(col[-1]) + 1
-            while low in pivots:
-                other = pivots[low]
+            while True:
+                other = pivots.get(low)
+                if other is None:
+                    j = owner[low]
+                    if j < 0:
+                        break
+                    other = cofaces[first[j] : last[j]]
                 work[other] ^= True
                 hi = max(hi, int(other[-1]) + 1)
                 low += int(work[low:hi].argmax())
@@ -131,17 +165,20 @@ def _reduce_cohomology(facets, dims, max_dim):
                     low = -1
                     break
             if low < 0:
-                essential.append(i)
+                zero.append(i)
                 continue
             col = low + np.flatnonzero(work[low:hi])
             work[col] = False
             pivots[low] = col
-            birth.append(i)
-            death.append(low)
-        deaths = pivots
-    birth, death = np.array(birth, np.intp), np.array(death, np.intp)
+            born.append(i)
+            died.append(low)
+        births.append(rows[born])
+        deaths.append(by_dim[k + 1][died])
+        essential.append(rows[zero])
+        dead = np.concatenate([lead[apparent], np.array(died, np.intp)])
+    birth, death = np.concatenate(births), np.concatenate(deaths)
     order = np.argsort(birth)
-    return np.column_stack((birth[order], death[order])), np.sort(np.array(essential, np.intp))
+    return np.column_stack((birth[order], death[order])), np.sort(np.concatenate(essential))
 
 
 def _reduce_twist(cols, dims):

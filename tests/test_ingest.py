@@ -182,6 +182,25 @@ class TestDistanceMatrix:
         assert distance_matrix(X).values.tobytes() == dm.tobytes()
 
 
+    @pytest.mark.parametrize("pages, fits", [(80_000, True), (79_999, False)])
+    def test_reserves_one_matrix_for_a_point_cloud(self, monkeypatch, pages, fits):
+        # 100 points in R^4: the matrix is 80,000 bytes.  The coordinate
+        # differences are made one row block at a time, so no more n x n
+        # layers are reserved.  Physical memory is a patched page count.
+        sizes = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": pages}
+        monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+        X = np.random.default_rng(0).normal(size=(100, 4))
+        if fits:
+            assert distance_matrix(X).values.shape == (100, 100)
+        else:
+            with pytest.raises(MemoryError, match="on 100 points needs 0.0 GiB"):
+                distance_matrix(X)
+
+    def test_fresh_matrix_is_held_read_only(self):
+        dd = distance_matrix(np.eye(3))
+        assert not dd.values.flags.writeable and dd.metric
+
+
 class TestGraphMatrices:
     def test_shortest_path_cycle(self):
         dm = shortest_path_matrix(generate_graph("cycle", nodes=6)).values

@@ -1,12 +1,15 @@
-"""Working-memory bounds of the passes over an L x W matrix.
+"""Working-memory bounds of the passes over an L x W matrix, the reduction
+and the simplex tuples.
 
-Each pass runs in place or over row blocks (``model.row_blocks``), so its
-tracemalloc peak, in units of one n x n float64 matrix, stays near what it
-returns plus one block, whatever n.  Measured at n = 600, where one block
-(2^16 cells) is 0.18 units; the full-size temporaries these bounds exclude
-cost one unit each.
+Each L x W pass runs in place or over row blocks (``model.row_blocks``),
+so its tracemalloc peak, in units of one n x n float64 matrix, stays near
+what it returns plus one block, whatever n.  Measured at n = 600, where
+one block (2^16 cells) is 0.18 units; the full-size temporaries these
+bounds exclude cost one unit each.  The reduction and ``simplices`` make
+no Python object per simplex beyond the tuples ``simplices`` returns.
 """
 
+import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -17,6 +20,7 @@ from sparsenerve import nerve
 from sparsenerve.cover import cover_matrix
 from sparsenerve.ingest import distance_matrix, sample_clifford_torus
 from sparsenerve.model import TranslationFunction
+from sparsenerve.persistence import compute_persistence
 from sparsenerve.sparsify import restriction_times
 from sparsenerve.truncation import truncation_result
 
@@ -43,12 +47,13 @@ def run():
     R = restriction_times(tr.tree, dd, tr.gamma)
     faces = nerve.maximal_faces(tr.gamma, R, nerve.slope_points(tr.tree, R))
     skeleton = nerve.expand_skeleton(faces, 1)
-    return dict(cloud=cloud, dd=dd, alpha=alpha, tr=tr, R=R, skeleton=skeleton)
+    complex_ = nerve.sparse_dowker_nerve(dd, alpha, 1).complex
+    return dict(cloud=cloud, dd=dd, alpha=alpha, tr=tr, R=R, skeleton=skeleton, complex=complex_)
 
 
 def test_distance_matrix(run):
-    # The matrix, the constructor's checked copy and one block.
-    assert peak_units(distance_matrix, run["cloud"]) <= 2.5
+    # The matrix, one block and, while it is checked, one row block of masks.
+    assert peak_units(distance_matrix, run["cloud"]) <= 1.3
 
 
 def test_truncation_result(run):
@@ -78,3 +83,15 @@ def test_filtration_values_on_rank_codes(run):
         values = nerve.filtration_values(run["dd"], run["skeleton"].cells)
         assert peak_units(nerve.filtration_values, run["dd"], run["skeleton"].cells) <= 4.0
     assert np.isfinite(values).all()
+
+
+def test_compute_persistence(run):
+    # One dimension's sorted (facet, coface) keys and its per-column arrays.
+    assert peak_units(compute_persistence, run["complex"], 1) <= 2.0
+
+
+def test_simplices(run):
+    # The tuples and, while they are built, one dimension's column lists;
+    # a fresh complex, as the tuples are cached.
+    fresh = dataclasses.replace(run["complex"])
+    assert peak_units(lambda: fresh.simplices) <= 5.0

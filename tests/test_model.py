@@ -11,6 +11,7 @@ from sparsenerve.model import (
     RestrictionTimes,
     TranslationFunction,
     as_extended_matrix,
+    row_blocks,
 )
 
 
@@ -27,6 +28,12 @@ class TestExtendedMatrix:
     def test_rejects_negative(self):
         with pytest.raises(InputValidationError):
             as_extended_matrix([[0.0, -1.0]])
+
+    def test_names_the_first_fault_nan_before_negative(self):
+        with pytest.raises(InputValidationError, match=r"NaN entry at index \(1, 0\)"):
+            as_extended_matrix([[-1.0, 0.0], [np.nan, np.nan]])
+        with pytest.raises(InputValidationError, match=r"negative entry at index \(0, 1\)"):
+            as_extended_matrix([[0.0, -1.0], [-2.0, INF]])
 
     def test_accepts_vectors_too(self):
         m = as_extended_matrix([1.0, 2.0, 3.0])
@@ -59,6 +66,18 @@ class TestDowkerDissimilarity:
         with pytest.raises(InputValidationError, match=message):
             DowkerDissimilarity(values, metric=True)
         assert DowkerDissimilarity(values).values.shape == np.shape(values)
+
+    def test_symmetry_checked_past_the_first_row_block(self):
+        values = np.zeros((400, 400))
+        values[300, 350] = 1.0
+        assert len(row_blocks(400, 400)) > 1
+        with pytest.raises(InputValidationError, match=r"1.0 at \(300, 350\), 0.0 at \(350, 300\)"):
+            DowkerDissimilarity(values, metric=True)
+
+    def test_given_array_is_copied(self):
+        values = np.zeros((2, 2))
+        dd = DowkerDissimilarity(values)
+        assert not np.shares_memory(dd.values, values) and values.flags.writeable
 
     def test_rectangular_allowed_without_metric(self):
         dd = DowkerDissimilarity([[0.0, 1.0, 2.0]])

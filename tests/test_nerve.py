@@ -515,6 +515,28 @@ class TestArrayComplexOracle:
         with pytest.raises(InputValidationError, match=f"^{pair}$"):
             nerve.FilteredComplex(cells, K.dims[perm], K.values[perm], K.dim_cap)
 
+    @settings(max_examples=100, deadline=None)
+    @given(faces=face_families(), d=st.integers(0, 3), seed=st.integers(0, 3))
+    def test_simplices_match_the_per_row_builder(self, faces, d, seed):
+        skeleton = expand_skeleton(_faces(faces), d)
+        value_of = _tied_values(_rows_of(skeleton), seed)
+        K = make_filtered_complex(
+            skeleton.cells, [value_of[s] for s in _rows_of(skeleton)], dim_cap=d + 1
+        )
+        _assert_simplices_per_row(K)
+
+    @pytest.mark.parametrize(
+        "cells, dims, values",
+        [
+            ((), [], []),
+            (([[0], [1]], np.empty((0, 2))), [0, 0], [0.0, 1.0]),
+            (([[0], [1]], np.empty((0, 2)), np.empty((0, 3))), [0, 0], [0.0, 0.0]),
+            (([[0], [1]], [[0, 1]], np.empty((0, 3))), [0, 0, 1], [0.0, 0.0, 2.0]),
+        ],
+    )
+    def test_simplices_with_empty_cardinalities(self, cells, dims, values):
+        _assert_simplices_per_row(nerve.FilteredComplex(cells, dims, values, 2))
+
     def test_wide_keys_at_large_labels(self):
         # Lexicographic ranks of 5- and 6-subsets of 10**5 labels overflow
         # int64; keys by prefix row and last vertex do not grow with the labels.
@@ -523,6 +545,14 @@ class TestArrayComplexOracle:
         sizes = rng.integers(3, 9, size=10).tolist()
         faces = [frozenset(rng.choice(labels, size=m, replace=False).tolist()) for m in sizes]
         _check_against_oracle(faces, 4, 0)
+
+
+def _assert_simplices_per_row(K):
+    """``K.simplices`` equals one list of tuples per cardinality, taken in
+    filtration order, and holds Python ints."""
+    rows = [iter([tuple(r) for r in c.tolist()]) for c in K.cells]
+    assert K.simplices == tuple(next(rows[p]) for p in K.dims.tolist())
+    assert all(type(v) is int for s in K.simplices for v in s)
 
 
 def _combinations_facets(cells):

@@ -379,8 +379,18 @@ def _listed(pairs, essential):
     return list(map(tuple, pairs.tolist())), essential.tolist()
 
 
+def _earliest_cofaces(cols, dims, max_dim):
+    """Simplex -> its earliest coface, for simplices in dimensions 1..max_dim."""
+    earliest = {}
+    for t, k in enumerate(dims):
+        if 2 <= k <= max_dim + 1:
+            for f in cols[t]:
+                earliest.setdefault(f, t)
+    return earliest
+
+
 def _columns_with_additions(cols, dims, pairs, max_dim):
-    """How many coboundary columns ``_reduce_cohomology`` reduced by addition.
+    """The coboundary columns ``_reduce_cohomology`` reduced by addition.
 
     A column in dimension 1..max_dim that was not cleared (it is no death)
     and has a coface needs an addition iff it is not paired with its
@@ -388,19 +398,15 @@ def _columns_with_additions(cols, dims, pairs, max_dim):
     after it are all later.
     """
     deaths = {d for _, d in pairs}
-    earliest = {}
-    for t, k in enumerate(dims):
-        if 2 <= k <= max_dim + 1:
-            for f in cols[t]:
-                earliest.setdefault(f, t)
-    return sum(
-        1
+    earliest = _earliest_cofaces(cols, dims, max_dim)
+    return [
+        i
         for i, k in enumerate(dims)
         if 1 <= k <= max_dim
         and i not in deaths
         and i in earliest
         and (i, earliest[i]) not in pairs
-    )
+    ]
 
 
 class TestReduceCohomology:
@@ -436,7 +442,7 @@ class TestReduceCohomology:
             plain_pairs, plain_essential = _reduce_plain(cols, dims)
             assert pairs == [p for p in plain_pairs if dims[p[0]] <= 2]
             assert essential == [i for i in plain_essential if dims[i] <= 2]
-            additions.append(_columns_with_additions(cols, dims, set(pairs), 2))
+            additions.append(len(_columns_with_additions(cols, dims, set(pairs), 2)))
 
         check()
         assert max(additions) > 0
@@ -449,6 +455,61 @@ def _twist_up_to(facets, dims, top):
         [p for p in pairs if dims[p[0]] <= top],
         [i for i in essential if dims[i] <= top],
     )
+
+
+@st.composite
+def filtered_complexes(draw):
+    """Closures of up to 8 random faces on up to 7 vertices, with integer
+    values in 0..4 raised to their facets' maximum: often disconnected,
+    sometimes edgeless, with heavy ties."""
+    n = draw(st.integers(1, 7))
+    face = st.frozensets(st.integers(0, n - 1), min_size=1, max_size=4)
+    faces = draw(st.lists(face, min_size=1, max_size=8))
+    closure = {s for f in faces for k in range(1, len(f) + 1) for s in combinations(sorted(f), k)}
+    values = {}
+    for s in sorted(closure, key=len):
+        facet_values = [values[f] for f in combinations(s, len(s) - 1) if f]
+        values[s] = float(max([draw(st.integers(0, 4)), *facet_values]))
+    return make_filtered_complex(values, dim_cap=3)
+
+
+class TestReductionShortcuts:
+    """Union-find that stops at one component and apparent pairs in bulk,
+    against ``_reduce_twist`` on the cases where each shortcut could go wrong."""
+
+    def test_matches_twist(self):
+        seen = set()
+
+        @settings(max_examples=400, deadline=None, derandomize=True)
+        @given(K=filtered_complexes())
+        def check(K):
+            facets, dims = _boundary_columns(K)
+            top = int(dims.max())
+            pairs, essential = _listed(*_reduce_cohomology(facets, dims, top))
+            assert (pairs, essential) == _twist_up_to(facets, dims, top)
+            edges = np.flatnonzero(dims == 1)
+            merges = [d for b, d in pairs if dims[b] == 0]  # in order of birth
+            seen.add("disconnected" if sum(dims[i] == 0 for i in essential) > 1 else "connected")
+            if not edges.size:
+                seen.add("no edges")
+            elif merges and max(merges) == edges[-1]:
+                seen.add("last merge at the last edge")
+            cols = facet_lists(facets, dims)
+            earliest = _earliest_cofaces(cols, dims, top)
+            # An apparent pair: a simplex that is its earliest coface's latest facet.
+            apparent = {t for f, t in earliest.items() if max(cols[t]) == f}
+            added = _columns_with_additions(cols, dims, pairs, top)
+            if any(earliest[i] in apparent for i in added):
+                seen.add("addition at an apparent coface")
+
+        check()
+        assert seen == {
+            "connected",
+            "disconnected",
+            "no edges",
+            "last merge at the last edge",
+            "addition at an apparent coface",
+        }
 
 
 @st.composite
