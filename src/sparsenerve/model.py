@@ -8,6 +8,7 @@ everywhere and rejected at construction time.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,16 @@ class SizeLimitError(RuntimeError):
         )
         self.attempted = attempted
         self.limit = limit
+
+
+def integer_argument(name: str, value) -> int:
+    """``value`` as a Python int, as ``operator.index`` takes it (NumPy
+    integers pass, floats and strings do not); raises
+    ``InputValidationError`` naming the argument ``name`` otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
 def as_extended_matrix(values) -> np.ndarray:

@@ -21,8 +21,9 @@ the expansion, which knows both parts of each key.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .model import (
     SizeLimitError,
     TranslationFunction,
     extended_values,
+    integer_argument,
 )
 from .sparsify import restriction_times
 from .truncation import truncation_result
@@ -47,6 +49,11 @@ from .truncation import truncation_result
 # gather.  Measured break-even on Clifford tori of 200-800 points: 60-120
 # (torus_fine gathers 225 per landmark, its mult:3 cloud 9).
 _RANK_GATHERS = 100
+
+# Rows of each dimension that iterating a ``SimplexView`` turns into tuples
+# at a time.
+_TUPLE_ROWS = 4096
+
 
 def _combinations(m: int, k: int) -> np.ndarray:
     """(C(m, k), k) table of the k-subsets of range(m), in lexicographic order."""
@@ -211,6 +218,57 @@ class Skeleton:
         return sum(map(len, self.cells))
 
 
+class SimplexView(Sequence):
+    """Read-only sequence of a complex's simplices as vertex tuples, in
+    filtration order, read through its ``cells`` and ``dims``.
+
+    Iteration turns at most ``_TUPLE_ROWS`` rows of each dimension into
+    tuples of Python ints at a time, so nothing per simplex outlives it.
+    Indexing is O(1) after a one-time index of each simplex's row within its
+    dimension.  Equal to any sequence of the same tuples.
+    """
+
+    def __init__(self, cells: tuple, dims: np.ndarray):
+        self._cells, self._dims, self._row = cells, dims, None
+
+    def __len__(self):
+        return len(self._dims)
+
+    def __iter__(self):
+        block = _TUPLE_ROWS
+        rows = [_tuples(c, block) for c in self._cells]
+        for start in range(0, len(self._dims), block):
+            for p in self._dims[start : start + block].tolist():
+                yield next(rows[p])
+
+    def __getitem__(self, i):
+        i = operator.index(i)
+        if not -len(self) <= i < len(self):
+            raise IndexError(f"simplex index {i} out of range({len(self)})")
+        if self._row is None:
+            # Row of each simplex within its dimension: its rank among the
+            # simplices of its dimension, in filtration order.
+            dims = self._dims
+            counts = np.bincount(dims, minlength=len(self._cells))
+            row = np.empty(len(dims), np.intp)
+            row[np.argsort(dims, kind="stable")] = np.arange(len(dims)) - np.repeat(
+                np.cumsum(counts) - counts, counts
+            )
+            self._row = row
+        return tuple(self._cells[self._dims[i]][self._row[i]].tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
+def _tuples(rows: np.ndarray, block: int):
+    """The rows as tuples of Python ints, ``block`` rows converted at a time."""
+    for start in range(0, len(rows), block):
+        yield from zip(*rows[start : start + block].T.tolist())
+
+
 @dataclass(frozen=True)
 class FilteredComplex:
     """Simplices with filtration values, sorted by (value, cardinality, vertices).
@@ -220,7 +278,8 @@ class FilteredComplex:
     strictly increasing vertex rows in filtration order, so the i-th simplex
     is the next row of ``cells[dims[i]]``.  Entry j of ``facets[p][r]`` is
     the index of the facet of ``cells[p][r]`` without vertex p - j.  The
-    arrays are read-only.  Closed under faces within the cardinality cap
+    arrays are read-only.  ``simplices`` reads them as vertex tuples
+    (``SimplexView``).  Closed under faces within the cardinality cap
     ``dim_cap + 1`` and monotone, as ``make_filtered_complex`` checked.
     The constructor builds the complex the same way from each dimension's
     rows in lexicographic order, and raises unless the given order comes
@@ -232,6 +291,7 @@ class FilteredComplex:
     values: np.ndarray
     dim_cap: int
     facets: tuple = field(default=None, init=False)
+    simplices: SimplexView = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cells = _as_cells(self.cells)
@@ -255,31 +315,17 @@ class FilteredComplex:
         built[given] = position
         down = np.flatnonzero(built[1:] < built[:-1])
         if down.size:
-            a, b = (_simplex(K, i) for i in built[down[0] : down[0] + 2])
+            a, b = K.simplices[built[down[0]]], K.simplices[built[down[0] + 1]]
             raise InputValidationError(f"not sorted at {a} -> {b}")
-        for name in ("cells", "dims", "values", "facets"):
+        for name in ("cells", "dims", "values", "facets", "simplices"):
             object.__setattr__(self, name, getattr(K, name))
 
     def __len__(self):
         return len(self.values)
 
-    @cached_property
-    def simplices(self) -> tuple:
-        """Vertex tuples of the simplices in filtration order, built on first use."""
-        # Each row's tuple is zipped from its dimension's column lists, so no
-        # list per row is made beside it.
-        rows = [zip(*c.T.tolist()) for c in self.cells]
-        return tuple(next(rows[p]) for p in self.dims.tolist())
-
     def check(self):
         """Raise unless the cells, dims and values build this complex again."""
         FilteredComplex(self.cells, self.dims, self.values, self.dim_cap)
-
-
-def _simplex(K: FilteredComplex, i: int) -> tuple:
-    """Vertex tuple of the i-th simplex of ``K``, from its row of ``K.cells``."""
-    p = K.dims[i]
-    return tuple(K.cells[p][np.count_nonzero(K.dims[:i] == p)].tolist())
 
 
 def make_filtered_complex(cells, values=None, *, dim_cap: int) -> FilteredComplex:
@@ -344,7 +390,10 @@ def _build(cells, values, dim_cap, facets=None):
         a.setflags(write=False)
     # Checked above: made without the constructor, which would check again.
     K = object.__new__(FilteredComplex)
-    vars(K).update(cells=cells, dims=dims, values=values, dim_cap=dim_cap, facets=tuple(table))
+    vars(K).update(
+        cells=cells, dims=dims, values=values, dim_cap=dim_cap, facets=tuple(table),
+        simplices=SimplexView(cells, dims),
+    )
     return K, position
 
 
@@ -669,7 +718,13 @@ def _sparse_nerve(dd, alpha, d, initial_point, max_simplices, points=None):
     computes only the cover entries it needs) and reads R off the
     truncation tree.  With ``points``, R is doubled and the values are the
     points' enclosing-ball radii; else they are min-max values from Lambda.
+    ``d``, ``initial_point`` and ``max_simplices`` must be integers
+    (``operator.index``).
     """
+    d = integer_argument("d", d)
+    initial_point = integer_argument("initial_point", initial_point)
+    if max_simplices is not None:
+        max_simplices = integer_argument("max_simplices", max_simplices)
     if d < 0:
         raise InputValidationError("homology dimension must be >= 0")
     if max_simplices is not None and max_simplices < 0:

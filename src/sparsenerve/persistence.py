@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import INF, InputValidationError, TranslationFunction
+from .model import INF, InputValidationError, TranslationFunction, integer_argument
 from .nerve import FilteredComplex
 
 
@@ -227,7 +227,9 @@ def compute_persistence(K: FilteredComplex, max_dim: int) -> PersistenceDiagram:
     boundary-matrix reduction.  Deaths in dimension k need (k+1)-simplices,
     so ``max_dim`` should be at most ``K.dim_cap - 1`` for the top dimension
     to be complete.  ``FilteredComplex`` checked ``K`` where it was built.
+    ``max_dim`` must be an integer (``operator.index``).
     """
+    max_dim = integer_argument("max_dim", max_dim)
     if max_dim < 0:
         raise InputValidationError(f"max_dim must be >= 0, got {max_dim}")
     facets, dims = _boundary_columns(K)

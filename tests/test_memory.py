@@ -1,14 +1,15 @@
 """Working-memory bounds of the passes over an L x W matrix, the reduction
-and the simplex tuples.
+and an iteration over a complex's simplices.
 
 Each L x W pass runs in place or over row blocks (``model.row_blocks``),
 so its tracemalloc peak, in units of one n x n float64 matrix, stays near
 what it returns plus one block, whatever n.  Measured at n = 600, where
 one block (2^16 cells) is 0.18 units; the full-size temporaries these
-bounds exclude cost one unit each.  The reduction and ``simplices`` make
-no Python object per simplex beyond the tuples ``simplices`` returns.
+bounds exclude cost one unit each.  The reduction and an iteration over
+``simplices`` make no Python object per simplex beyond the tuple in hand.
 """
 
+import collections
 import dataclasses
 import tracemalloc
 from unittest import mock
@@ -91,7 +92,17 @@ def test_compute_persistence(run):
 
 
 def test_simplices(run):
-    # The tuples and, while they are built, one dimension's column lists;
-    # a fresh complex, as the tuples are cached.
+    # One full iteration over a fresh complex holds one block of rows per
+    # dimension as tuples at a time, and leaves nothing allocated when it
+    # ends.  A first iteration, over another complex, fills the
+    # interpreter's free list of tuples, which keeps what it is given.
     fresh = dataclasses.replace(run["complex"])
-    assert peak_units(lambda: fresh.simplices) <= 5.0
+    collections.deque(run["complex"].simplices, maxlen=0)
+    tracemalloc.start()
+    try:
+        collections.deque(fresh.simplices, maxlen=0)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * N * N) <= 1.0
+    assert current == 0

@@ -516,14 +516,21 @@ class TestArrayComplexOracle:
             nerve.FilteredComplex(cells, K.dims[perm], K.values[perm], K.dim_cap)
 
     @settings(max_examples=100, deadline=None)
-    @given(faces=face_families(), d=st.integers(0, 3), seed=st.integers(0, 3))
-    def test_simplices_match_the_per_row_builder(self, faces, d, seed):
+    @given(
+        faces=face_families(),
+        d=st.integers(0, 3),
+        seed=st.integers(0, 3),
+        block=st.sampled_from([1, 3, 4096]),
+    )
+    def test_simplices_match_the_per_row_builder(self, faces, d, seed, block):
+        # Blocks of 1 and 3 rows make every iteration span several of them.
         skeleton = expand_skeleton(_faces(faces), d)
         value_of = _tied_values(_rows_of(skeleton), seed)
         K = make_filtered_complex(
             skeleton.cells, [value_of[s] for s in _rows_of(skeleton)], dim_cap=d + 1
         )
-        _assert_simplices_per_row(K)
+        with mock.patch.object(nerve, "_TUPLE_ROWS", block):
+            _assert_view_matches_oracle(K)
 
     @pytest.mark.parametrize(
         "cells, dims, values",
@@ -535,7 +542,7 @@ class TestArrayComplexOracle:
         ],
     )
     def test_simplices_with_empty_cardinalities(self, cells, dims, values):
-        _assert_simplices_per_row(nerve.FilteredComplex(cells, dims, values, 2))
+        _assert_view_matches_oracle(nerve.FilteredComplex(cells, dims, values, 2))
 
     def test_wide_keys_at_large_labels(self):
         # Lexicographic ranks of 5- and 6-subsets of 10**5 labels overflow
@@ -547,12 +554,30 @@ class TestArrayComplexOracle:
         _check_against_oracle(faces, 4, 0)
 
 
-def _assert_simplices_per_row(K):
-    """``K.simplices`` equals one list of tuples per cardinality, taken in
-    filtration order, and holds Python ints."""
-    rows = [iter([tuple(r) for r in c.tolist()]) for c in K.cells]
-    assert K.simplices == tuple(next(rows[p]) for p in K.dims.tolist())
-    assert all(type(v) is int for s in K.simplices for v in s)
+def _assert_view_matches_oracle(K):
+    """``K.simplices`` reads as the tuple of Python ints that one zip of
+    column lists per cardinality, taken in filtration order, builds: by
+    length, iteration, every index and equality both ways."""
+    rows = [zip(*c.T.tolist()) for c in K.cells]
+    oracle = tuple(next(rows[p]) for p in K.dims.tolist())
+    view, n = K.simplices, len(oracle)
+    assert len(view) == n
+    assert tuple(view) == oracle
+    assert all(type(v) is int for s in view for v in s)
+    assert [view[i] for i in range(-n, n)] == list(oracle) * 2
+    assert [view[i] for i in np.arange(n)] == list(oracle)
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            view[i]
+    again = nerve.FilteredComplex(K.cells, K.dims, K.values, K.dim_cap).simplices
+    for other in (oracle, list(oracle), again):
+        assert view == other and other == view
+        assert not view != other
+    assert (-1,) not in view
+    if n:
+        assert oracle[0] in view and oracle[-1] in view
+        for other in (oracle[:-1], (*oracle[:-1], (-1,)), list(oracle[1:])):
+            assert view != other and other != view
 
 
 def _combinations_facets(cells):
@@ -816,6 +841,30 @@ class TestSparseNervePipeline:
                 DowkerDissimilarity(LINE3), TranslationFunction.identity(), -1
             )
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(d=1.5), "d must be an integer, got 1.5"),
+            (dict(d=1, initial_point=2.0), "initial_point must be an integer, got 2.0"),
+            (dict(d=1, max_simplices="10"), "max_simplices must be an integer, got '10'"),
+        ],
+    )
+    def test_non_integer_argument_rejected(self, rng, kwargs, message):
+        # d = 1.5 once gave a complex with dim_cap 2.5; the others raised
+        # bare TypeErrors from deep in the pipeline.
+        dd = distance_matrix(rng.normal(size=(8, 2)))
+        with pytest.raises(InputValidationError, match=f"^{re.escape(message)}$"):
+            sparse_dowker_nerve(dd, TranslationFunction.multiplicative(1.5), **kwargs)
+
+    def test_numpy_integer_arguments_accepted(self, rng):
+        dd = distance_matrix(rng.normal(size=(8, 2)))
+        alpha = TranslationFunction.multiplicative(1.5)
+        K = sparse_dowker_nerve(dd, alpha, 1, 2, 1000).complex
+        L = sparse_dowker_nerve(dd, alpha, np.int64(1), np.int32(2), np.uint16(1000)).complex
+        assert L.dim_cap == 2 and type(L.dim_cap) is int
+        assert L.simplices == K.simplices
+        assert np.array_equal(L.values, K.values)
+
     def test_dimension_far_above_the_simplices(self):
         # The square's nerve ends at its tetrahedron.  d = 500 must give the
         # same complex and diagram as d = 3, and the facet table must search
@@ -987,6 +1036,18 @@ class TestPipelineProperties:
         ).complex
         full = full_dowker_nerve(lam, d)
         assert compute_persistence(sparse, d).points == compute_persistence(full, d).points
+
+    def test_guarantee_at_benchmark_scale(self):
+        # At alpha = id the pipeline is exact, and on this torus it yields
+        # the full skeleton: an exact diagram at the size the benchmarks run.
+        dd = distance_matrix(sample_clifford_torus(200, 0))
+        exact = sparse_dowker_nerve(dd, TranslationFunction.identity(), 1).complex
+        assert len(exact) == skeleton_size(200, 1) == 1_333_500
+        exact = compute_persistence(exact, 1)
+        for spec in ("mult:1.5", "mult:3"):
+            alpha = TranslationFunction.parse(spec)
+            approx = compute_persistence(sparse_dowker_nerve(dd, alpha, 1).complex, 1)
+            assert diagram_interleaving_check(exact, approx, alpha).passed, spec
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -318,6 +318,12 @@ class TestComputePersistence:
         with pytest.raises(InputValidationError):
             compute_persistence(K, -1)
 
+    def test_non_integer_max_dim_rejected(self):
+        K = make_filtered_complex({(0,): 0.0, (1,): 1.0, (0, 1): 2.0}, dim_cap=1)
+        with pytest.raises(InputValidationError, match=r"^max_dim must be an integer, got 1\.5$"):
+            compute_persistence(K, 1.5)
+        assert compute_persistence(K, np.int64(1)) == compute_persistence(K, 1)
+
     def test_component_count_matches_infinite_points(self, rng):
         for _ in range(10):
             lam = random_dissimilarity(rng, max_side=5)
